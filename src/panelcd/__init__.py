@@ -38,7 +38,6 @@ from .cd_stats import (
     NullConstants,
     TestConfig,
     TestResult,
-    UnsupportedModelError,
     cd_lm_stat,
     cd_p_stat,
     lm_adj_stat,

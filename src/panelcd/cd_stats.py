@@ -50,10 +50,6 @@ class MissingBasesError(TestComputationError):
     """LM_adj was requested but the residuals carry no design bases."""
 
 
-class UnsupportedModelError(TestComputationError):
-    """LM_adj was requested for within-estimator residuals (no pooled moments)."""
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """Which tests to run and at what significance level."""
@@ -223,11 +219,6 @@ def rmt_centering(n: int, t: int) -> float:
     return n + n * n / t + n * n / (t * t) - n / t
 
 
-def rmt_kappa(t: int, k: int) -> float:
-    """Finite-sample kurtosis plug-in: 3T(T-k-2) / ((T+2)(T-k))."""
-    return 3.0 * t * (t - k - 2) / ((t + 2.0) * (t - k))
-
-
 def rmt_variance(n: int, t: int, kappa: float) -> float:
     """Variance expression of the recentred trace statistic at kurtosis ``kappa``.
 
@@ -247,8 +238,8 @@ def lm_rmt_stat(stats: TraceStats, k_eff: int, alpha: float = 0.05) -> TestResul
     The scale is the variance expression evaluated at the Gaussian
     kurtosis point (exactly 4 c_T^2). The finite-sample kurtosis plug-in
     distorts the scale by 30 percent or more at desk sizes and breaks the
-    near-identity with the standardized tr(R^2) statistic, so it is
-    exposed via :func:`rmt_kappa` for diagnostics but not used here.
+    near-identity with the standardized tr(R^2) statistic, so it is not
+    used.
     """
     n, t = stats.n, stats.t_eff
     if t <= k_eff + 2:
@@ -305,6 +296,19 @@ def _failure(name: str, alpha: float, status: str, message: str) -> TestResult:
     )
 
 
+def _lm_adj_entry(corr: CorrelationMatrix, resid: ResidualMatrix, alpha: float) -> TestResult:
+    if resid.estimator.kind is ModelKind.FIXED_EFFECTS:
+        return _failure(
+            "LM_adj",
+            alpha,
+            "unsupported",
+            "no design-pair moments exist for within-estimator residuals",
+        )
+    if resid.ortho_bases is None:
+        return _failure("LM_adj", alpha, "unsupported", "fit retained no design bases")
+    return lm_adj_stat(corr, resid.ortho_bases, resid.t_eff, resid.k_eff, alpha)
+
+
 def run_all(resid: ResidualMatrix, cfg: TestConfig) -> list[TestResult]:
     """Run the requested battery on one residual matrix.
 
@@ -313,47 +317,29 @@ def run_all(resid: ResidualMatrix, cfg: TestConfig) -> list[TestResult]:
     errors) become failure entries; the batch itself never aborts.
     """
     requested = [t for t in ALL_TESTS if t in cfg.tests]
+    alpha = cfg.alpha
     try:
         corr = correlation_matrix(resid)
         stats = trace_stats(corr, resid.t_eff)
     except CorrelationError as exc:
-        return [_failure(name, cfg.alpha, "failed", str(exc)) for name in requested]
+        return [_failure(name, alpha, "failed", str(exc)) for name in requested]
 
+    # the lambdas look each statistic up at call time, so a wrapped module
+    # attribute (tracing, tests) is what runs
+    battery = {
+        "LM": lambda: lm_stat(stats, alpha),
+        "CD_LM": lambda: cd_lm_stat(stats, alpha),
+        "CD_P": lambda: cd_p_stat(stats, alpha),
+        "LM_bc": lambda: lm_bc_stat(stats, alpha),
+        "LM_adj": lambda: _lm_adj_entry(corr, resid, alpha),
+        "LM_RMT": lambda: lm_rmt_stat(stats, resid.k_eff, alpha),
+        "RLM": lambda: rlm_stat(stats, alpha),
+        "RLM_PE": lambda: rlm_pe_stat(stats, alpha),
+    }
     results: list[TestResult] = []
     for name in requested:
         try:
-            if name == "LM":
-                results.append(lm_stat(stats, cfg.alpha))
-            elif name == "CD_LM":
-                results.append(cd_lm_stat(stats, cfg.alpha))
-            elif name == "CD_P":
-                results.append(cd_p_stat(stats, cfg.alpha))
-            elif name == "LM_bc":
-                results.append(lm_bc_stat(stats, cfg.alpha))
-            elif name == "LM_RMT":
-                results.append(lm_rmt_stat(stats, resid.k_eff, cfg.alpha))
-            elif name == "RLM":
-                results.append(rlm_stat(stats, cfg.alpha))
-            elif name == "RLM_PE":
-                results.append(rlm_pe_stat(stats, cfg.alpha))
-            elif name == "LM_adj":
-                if resid.estimator.kind is ModelKind.FIXED_EFFECTS:
-                    results.append(
-                        _failure(
-                            name,
-                            cfg.alpha,
-                            "unsupported",
-                            "no design-pair moments exist for within-estimator residuals",
-                        )
-                    )
-                elif resid.ortho_bases is None:
-                    results.append(
-                        _failure(name, cfg.alpha, "unsupported", "fit retained no design bases")
-                    )
-                else:
-                    results.append(
-                        lm_adj_stat(corr, resid.ortho_bases, resid.t_eff, resid.k_eff, cfg.alpha)
-                    )
+            results.append(battery[name]())
         except TestComputationError as exc:
-            results.append(_failure(name, cfg.alpha, "failed", str(exc)))
+            results.append(_failure(name, alpha, "failed", str(exc)))
     return results

@@ -29,7 +29,7 @@ from . import __version__
 from .cd_stats import ALL_TESTS, TestConfig, TestResult, run_all
 from .dgp import Alternative, DgpConfig, ErrorDist, generate_panel, make_rng
 from .mc import ExperimentPlan, RejectionReport, run_experiment
-from .panel import ModelKind, ModelSpec, PanelDataset, fit, validate_dataset
+from .panel import ModelKind, ModelSpec, PanelDataset, PanelError, fit, validate_dataset
 
 
 class CsvError(Exception):
@@ -54,21 +54,11 @@ class UnbalancedPanelError(CsvError):
     pass
 
 
+# each test name lower-cased, with and without underscores: "cd_lm", "cdlm"
 _TEST_ALIASES = {
-    "lm": "LM",
-    "cdlm": "CD_LM",
-    "cd_lm": "CD_LM",
-    "cdp": "CD_P",
-    "cd_p": "CD_P",
-    "lmbc": "LM_bc",
-    "lm_bc": "LM_bc",
-    "lmadj": "LM_adj",
-    "lm_adj": "LM_adj",
-    "lmrmt": "LM_RMT",
-    "lm_rmt": "LM_RMT",
-    "rlm": "RLM",
-    "rlmpe": "RLM_PE",
-    "rlm_pe": "RLM_PE",
+    alias: name
+    for name in ALL_TESTS
+    for alias in (name.lower(), name.lower().replace("_", ""))
 }
 
 _MODEL_KINDS = {
@@ -432,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_dump(args)
-    except (CsvError, OSError, ValueError) as exc:
+    except (CsvError, PanelError, OSError, ValueError) as exc:
         print(f"panelcd: error: {exc}", file=sys.stderr)
         return 1
 

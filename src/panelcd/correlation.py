@@ -71,7 +71,6 @@ class TraceStats:
     tr_r2: float
     tr_r4: float
     offdiag_sum: float
-    max_abs_offdiag: float
     n: int
     t_eff: int
 
@@ -110,7 +109,7 @@ def correlation_matrix(resid: Union[ResidualMatrix, np.ndarray]) -> CorrelationM
 
 
 def trace_stats(corr: CorrelationMatrix, t_eff: int) -> TraceStats:
-    """tr(R^2), tr(R^4) and the off-diagonal summaries of a correlation matrix.
+    """tr(R^2), tr(R^4) and the off-diagonal sum of a correlation matrix.
 
     tr(R^4) is the squared Frobenius norm of one symmetric product R @ R;
     the explicit fourth power is never formed.
@@ -121,16 +120,7 @@ def trace_stats(corr: CorrelationMatrix, t_eff: int) -> TraceStats:
     r2 = r @ r
     tr_r4 = float(np.einsum("ij,ij->", r2, r2))
     offdiag_sum = float(r.sum() - n)
-    off = np.abs(r).copy()
-    np.fill_diagonal(off, 0.0)
-    return TraceStats(
-        tr_r2=tr_r2,
-        tr_r4=tr_r4,
-        offdiag_sum=offdiag_sum,
-        max_abs_offdiag=float(off.max()) if n > 1 else 0.0,
-        n=n,
-        t_eff=int(t_eff),
-    )
+    return TraceStats(tr_r2=tr_r2, tr_r4=tr_r4, offdiag_sum=offdiag_sum, n=n, t_eff=int(t_eff))
 
 
 def _check_orthonormal(q: np.ndarray, name: str) -> None:

@@ -140,12 +140,12 @@ def _ar1(innov: np.ndarray, coef: float = AR_COEF) -> np.ndarray:
     return x
 
 
-def _ar_regressors(n: int, n_reg: int, span: int, rng: np.random.Generator) -> np.ndarray:
-    """Stationary AR(1) regressor grids (n, n_reg, span) with random unit scales."""
+def _ar_innovations(n: int, n_reg: int, span: int, rng: np.random.Generator) -> np.ndarray:
+    """Innovation grids (n, n_reg, span) with random unit scales, sized so
+    that :func:`_ar1` of them is a stationary AR(1) regressor."""
     tau2 = rng.chisquare(6, (n, n_reg)) / 6.0
     sd = np.sqrt(tau2 / (1.0 - AR_COEF**2))
-    u = rng.standard_normal((n, n_reg, span)) * sd[:, :, None]
-    return _ar1(u)
+    return rng.standard_normal((n, n_reg, span)) * sd[:, :, None]
 
 
 def _disturbances(
@@ -193,7 +193,7 @@ def gen_dgp1(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     lam = _maybe_loadings(cfg, rng)
     alpha = rng.normal(1.0, 1.0, n)
     beta = rng.normal(1.0, 0.2, (n, k - 1))
-    xreg = _ar_regressors(n, k - 1, p + t, rng)[:, :, p:]
+    xreg = _ar1(_ar_innovations(n, k - 1, p + t, rng))[:, :, p:]
     v = _disturbances(cfg, n, t, rng, lam)
     y = alpha[:, None] + np.einsum("nl,nlt->nt", beta, xreg) + v
     panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)], n, t, True)
@@ -233,9 +233,7 @@ def gen_dgp2(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     alpha = rng.normal(1.0, 1.0, n)
     beta1 = rng.normal(1.0, 0.2, n)
     beta2 = _stable_lag_coefs(n, rng, limit=MAX_FEEDBACK_SLOPE)
-    tau2 = rng.chisquare(6, (n, 2)) / 6.0
-    sd = np.sqrt(tau2 / (1.0 - AR_COEF**2))
-    u = rng.standard_normal((n, 2, p + t)) * sd[:, :, None]
+    u = _ar_innovations(n, 2, p + t, rng)
     x1 = _ar1(u[:, 0, :])
     v = _disturbances(cfg, n, p + t, rng, lam)
     x2, y = _dgp2_recursion(alpha, beta1, beta2, x1, u[:, 1, :], v)
@@ -249,7 +247,7 @@ def gen_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     n, t, k, p = cfg.n, cfg.t, cfg.k, cfg.burn_in + 1
     lam = _maybe_loadings(cfg, rng)
     mu = rng.normal(1.0, 1.0, n)
-    xreg = _ar_regressors(n, k - 1, p + t, rng)[:, :, p:]
+    xreg = _ar1(_ar_innovations(n, k - 1, p + t, rng))[:, :, p:]
     v = _disturbances(cfg, n, t, rng, lam)
     slopes = np.arange(2, k + 1, dtype=np.float64)
     y = 1.0 + np.einsum("l,nlt->nt", slopes, xreg) + mu[:, None] + v

@@ -7,9 +7,11 @@ The estimators cover the model classes used by the dependence tests:
   common slope vector,
 - per-unit OLS with an auto-built lag column for dynamic panels.
 
-All fitting is done through thin QR factorizations of the unit designs
-rather than normal equations; the orthonormal bases are retained on
-request because the moment-adjusted LM test needs them.
+All three are one least-squares problem on a stack of designs (per unit,
+pooled and demeaned, or lag-augmented), solved by a single thin SVD per
+stack that gives the rank test, the residuals, the coefficients and the
+orthonormal bases; the bases are retained on request because the
+moment-adjusted LM test needs them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -102,6 +104,14 @@ class PanelDataset:
             raise PanelError("time_ids length must equal T")
         if self.has_intercept and x.shape[2] == 0:
             raise PanelError("has_intercept=True requires at least one x column")
+        for name, grid in (("y", y), ("x", x)):
+            bad = np.argwhere(~np.isfinite(grid))
+            if bad.size:
+                i, s = bad[0][:2]
+                raise PanelError(
+                    f"{name} has {len(bad)} non-finite value(s), first at unit "
+                    f"{self.unit_ids[i]}, time {self.time_ids[s]}"
+                )
         y.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "y", y)
@@ -181,76 +191,62 @@ def validate_dataset(data: PanelDataset, spec: ModelSpec) -> ValidationReport:
             v.append(f"constant response for unit {data.unit_ids[i]}")
 
     if spec.kind is ModelKind.FIXED_EFFECTS:
-        xd, _ = _demeaned_regressors(data)
-        if xd.shape[2] > 0 and _pooled_sv_ratio(xd) < RANK_TOL:
+        xd, yd = _demeaned_stack(data)
+        if xd.shape[2] > 0 and _least_squares(xd, yd).ratio[0] < RANK_TOL:
             v.append("rank-deficient pooled demeaned design")
-    else:
+    elif spec.kind is ModelKind.HETEROGENEOUS and data.k == 0:
+        v.append("heterogeneous model needs at least one regressor column (k=0)")
+    elif spec.kind is ModelKind.HETEROGENEOUS or data.t >= 2:  # a lag needs 2 periods
         if spec.kind is ModelKind.DYNAMIC:
-            if data.t >= 2:
-                designs = _dynamic_designs(data, spec)
-            else:
-                designs = None
+            designs, y = _dynamic_designs(data, spec), data.y[:, 1:]
         else:
-            designs = data.x
-        if designs is not None and designs.shape[2] > 0:
-            ratios = _min_sv_ratio(designs)
-            for i in np.nonzero(ratios < RANK_TOL)[0]:
-                v.append(f"rank-deficient design for unit {data.unit_ids[i]}")
+            designs, y = data.x, data.y
+        ratio = _least_squares(designs, y).ratio
+        for i in np.nonzero(ratio < RANK_TOL)[0]:
+            v.append(f"rank-deficient design for unit {data.unit_ids[i]}")
 
     return ValidationReport(tuple(v))
 
 
-def _equilibrate(designs: np.ndarray):
-    """Scale every design column to unit norm so the rank test measures
-    collinearity rather than column scale (feedback designs mix columns
-    whose magnitudes differ by many orders).
+class _LeastSquares(NamedTuple):
+    ratio: np.ndarray  # (m,) smallest/largest singular value; 0 flags a zero column
+    basis: np.ndarray  # (m, T, k) orthonormal column-space basis
+    resid: np.ndarray  # (m, T)
+    coef: np.ndarray  # (m, k)
 
-    Returns (scaled designs, column norms); zero columns keep norm 1 so
-    they surface through the singular-value ratio instead of dividing by 0.
+
+def _least_squares(designs: np.ndarray, y: np.ndarray) -> _LeastSquares:
+    """Least squares of y (m, T) on every design of a stack (m, T, k).
+
+    One thin SVD of the column-equilibrated designs yields everything:
+    equilibration scales each column to unit norm, so the singular-value
+    ratio measures collinearity rather than column scale (feedback designs
+    mix columns whose magnitudes differ by many orders), and the column
+    space, hence the basis and the residuals, is unchanged. Coefficients
+    are unscaled at the end. Rank-deficient designs get a ratio below
+    ``RANK_TOL`` (exactly 0 for a zero column) and meaningless coefficients;
+    callers check the ratio first.
     """
     norms = np.linalg.norm(designs, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    return designs / safe[:, None, :], norms
-
-
-def _min_sv_ratio(designs: np.ndarray) -> np.ndarray:
-    """Smallest/largest singular value per column-equilibrated design."""
-    scaled, norms = _equilibrate(designs)
-    sv = np.linalg.svd(scaled, compute_uv=False)
-    largest = sv[:, 0]
-    out = np.zeros(designs.shape[0])
-    ok = largest > 0
-    out[ok] = sv[ok, -1] / largest[ok]
-    out[np.any(norms == 0, axis=1)] = 0.0
-    return out
-
-
-def _pooled_sv_ratio(xd: np.ndarray) -> float:
-    """Singular-value ratio of the column-equilibrated pooled demeaned stack."""
-    stack = xd.reshape(-1, xd.shape[2])
-    return float(_min_sv_ratio(stack[None, :, :])[0])
-
-
-def _per_unit_ols(y: np.ndarray, designs: np.ndarray, unit_ids, keep_bases: bool):
-    """QR-based least squares for every unit of a stacked design.
-
-    Works on column-equilibrated designs (same column space, so identical
-    residuals and bases) and unscales the coefficients at the end. Returns
-    (residuals, coefficients, bases-or-None); raises RankDeficientError
-    naming the first offending unit.
-    """
-    scaled, norms = _equilibrate(designs)
-    sv = np.linalg.svd(scaled, compute_uv=False)
+    scaled = designs / np.where(norms > 0, norms, 1.0)[:, None, :]
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    uty = np.einsum("mtk,mt->mk", u, y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(sv[:, 0] > 0, sv[:, -1] / sv[:, 0], 0.0)
-    bad = np.nonzero((ratios < RANK_TOL) | np.any(norms == 0, axis=1))[0]
+        ratio = np.where(s[:, 0] > 0, s[:, -1] / s[:, 0], 0.0)
+        coef = np.einsum("mlk,ml->mk", vt, uty / s) / norms
+    ratio[np.any(norms == 0, axis=1)] = 0.0
+    resid = y - np.einsum("mtk,mk->mt", u, uty)
+    return _LeastSquares(ratio, u, resid, coef)
+
+
+def _per_unit_fit(y: np.ndarray, designs: np.ndarray, unit_ids, keep_bases: bool):
+    """Per-unit least squares; returns (residuals, coefficients, bases-or-None)
+    and raises RankDeficientError naming the first offending unit."""
+    ls = _least_squares(designs, y)
+    bad = np.nonzero(ls.ratio < RANK_TOL)[0]
     if bad.size:
         raise RankDeficientError(f"unit {unit_ids[bad[0]]}")
-    q, r = np.linalg.qr(scaled)
-    qty = np.einsum("ntk,nt->nk", q, y)
-    resid = y - np.einsum("ntk,nk->nt", q, qty)
-    coef = np.linalg.solve(r, qty[:, :, None])[:, :, 0] / norms
-    return resid, coef, (q if keep_bases else None)
+    return ls.resid, ls.coef, (ls.basis if keep_bases else None)
 
 
 def fit_heterogeneous(data: PanelDataset, keep_bases: bool = True) -> ResidualMatrix:
@@ -276,7 +272,7 @@ def fit_heterogeneous(data: PanelDataset, keep_bases: bool = True) -> ResidualMa
         raise PanelError(f"need T >= k+2, got T={data.t}, k={data.k}")
     if data.k == 0:
         raise PanelError("heterogeneous fit needs at least one regressor column")
-    resid, coef, bases = _per_unit_ols(data.y, data.x, data.unit_ids, keep_bases)
+    resid, coef, bases = _per_unit_fit(data.y, data.x, data.unit_ids, keep_bases)
     return ResidualMatrix(
         resid=resid,
         t_eff=data.t,
@@ -287,16 +283,16 @@ def fit_heterogeneous(data: PanelDataset, keep_bases: bool = True) -> ResidualMa
     )
 
 
-def _demeaned_regressors(data: PanelDataset):
-    """Within-transformed regressors with the intercept column dropped.
+def _demeaned_stack(data: PanelDataset):
+    """Within-transformed regressors and response, pooled as a batch of one.
 
     The intercept demeans to zero, so it is removed before the pooled
-    regression; returns (x_demeaned, y_demeaned).
+    regression; returns (x_demeaned (1, nT, k_eff), y_demeaned (1, nT)).
     """
     x = data.x[:, :, 1:] if data.has_intercept else data.x
     xd = x - x.mean(axis=1, keepdims=True)
     yd = data.y - data.y.mean(axis=1, keepdims=True)
-    return xd, yd
+    return xd.reshape(1, -1, x.shape[2]), yd.reshape(1, -1)
 
 
 def fit_fixed_effects(data: PanelDataset) -> ResidualMatrix:
@@ -309,20 +305,17 @@ def fit_fixed_effects(data: PanelDataset) -> ResidualMatrix:
     """
     if data.t < data.k + 2:
         raise PanelError(f"need T >= k+2, got T={data.t}, k={data.k}")
-    xd, yd = _demeaned_regressors(data)
+    xd, yd = _demeaned_stack(data)
     k_eff = xd.shape[2]
     if k_eff == 0:
-        resid = yd
-        coef = np.zeros(0)
+        resid, coef = yd, np.zeros(0)
     else:
-        if _pooled_sv_ratio(xd) < RANK_TOL:
-            raise RankDeficientError("pooled", "demeaned Gram matrix singular")
-        gram = np.einsum("ntk,ntl->kl", xd, xd)
-        rhs = np.einsum("ntk,nt->k", xd, yd)
-        coef = np.linalg.solve(gram, rhs)
-        resid = yd - xd @ coef
+        ls = _least_squares(xd, yd)
+        if ls.ratio[0] < RANK_TOL:
+            raise RankDeficientError("pooled", "demeaned design singular")
+        resid, coef = ls.resid, ls.coef[0]
     return ResidualMatrix(
-        resid=resid,
+        resid=resid.reshape(data.n, data.t),
         t_eff=data.t,
         k_eff=k_eff,
         estimator=ModelSpec(ModelKind.FIXED_EFFECTS),
@@ -359,7 +352,7 @@ def fit_dynamic(data: PanelDataset, spec: ModelSpec, keep_bases: bool = True) ->
     if data.t < data.k + 3:
         raise PanelError(f"need T >= k+3 for dynamic fits, got T={data.t}, k={data.k}")
     designs = _dynamic_designs(data, spec)
-    resid, coef, bases = _per_unit_ols(data.y[:, 1:], designs, data.unit_ids, keep_bases)
+    resid, coef, bases = _per_unit_fit(data.y[:, 1:], designs, data.unit_ids, keep_bases)
     alpha = coef[:, 0]
     hot = np.nonzero(np.abs(alpha) > 0.999)[0]
     if hot.size:

@@ -46,6 +46,8 @@ from panelcd.dgp import Alternative, DgpConfig, ErrorDist, generate_panel
 from panelcd.mc import ExperimentPlan, run_experiment
 from panelcd.panel import fit
 
+pytestmark = pytest.mark.acceptance
+
 PROFILE = os.environ.get("PANELCD_ACCEPT_PROFILE", "full")
 REPS = 500 if PROFILE == "ci" else 2000
 SIZE_WINDOW = (2.5, 7.5) if PROFILE == "ci" else (3.6, 6.5)

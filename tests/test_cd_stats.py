@@ -15,7 +15,6 @@ from panelcd.cd_stats import (
     rlm_pe_stat,
     rlm_stat,
     rmt_centering,
-    rmt_kappa,
     rmt_variance,
     run_all,
 )
@@ -52,8 +51,7 @@ class TestPValueHelpers:
         n, t = 4, 30
         nc = null_constants(n, t)
         stats = TraceStats(
-            tr_r2=nc.mu0 + 60.0 * nc.sigma0, tr_r4=0, offdiag_sum=0,
-            max_abs_offdiag=0, n=n, t_eff=t,
+            tr_r2=nc.mu0 + 60.0 * nc.sigma0, tr_r4=0, offdiag_sum=0, n=n, t_eff=t,
         )
         res = rlm_stat(stats)
         assert res.p_value == cd.P_FLOOR
@@ -77,7 +75,7 @@ class TestLm:
         # statistic at the 5% chi2(1) quantile
         n, t = 2, 10
         tr2 = 2 + 2 * 3.841459 / t
-        res = lm_stat(TraceStats(tr_r2=tr2, tr_r4=0, offdiag_sum=0, max_abs_offdiag=0, n=n, t_eff=t))
+        res = lm_stat(TraceStats(tr_r2=tr2, tr_r4=0, offdiag_sum=0, n=n, t_eff=t))
         assert res.p_value == pytest.approx(0.05, abs=1e-4)
 
 
@@ -91,7 +89,7 @@ class TestCdLm:
     def test_zero_statistic_gives_half_p(self):
         n, t = 6, 12
         tr2 = n + n * (n - 1) / t
-        res = cd_lm_stat(TraceStats(tr_r2=tr2, tr_r4=0, offdiag_sum=0, max_abs_offdiag=0, n=n, t_eff=t))
+        res = cd_lm_stat(TraceStats(tr_r2=tr2, tr_r4=0, offdiag_sum=0, n=n, t_eff=t))
         assert res.statistic == pytest.approx(0.0, abs=1e-12)
         assert res.p_value == pytest.approx(0.5, abs=1e-12)
 
@@ -133,7 +131,7 @@ class TestRlm:
     def test_centered_input_gives_zero(self):
         n, t = 8, 17
         nc = null_constants(n, t)
-        stats = TraceStats(tr_r2=nc.mu0, tr_r4=0, offdiag_sum=0, max_abs_offdiag=0, n=n, t_eff=t)
+        stats = TraceStats(tr_r2=nc.mu0, tr_r4=0, offdiag_sum=0, n=n, t_eff=t)
         res = rlm_stat(stats)
         assert res.statistic == pytest.approx(0.0, abs=1e-12)
         assert res.p_value == pytest.approx(0.5, abs=1e-12)
@@ -148,7 +146,7 @@ class TestRlmPe:
     def test_centered_input_gives_zero(self):
         n, t = 9, 22
         nc = null_constants(n, t)
-        stats = TraceStats(tr_r2=0, tr_r4=nc.mu_pe, offdiag_sum=0, max_abs_offdiag=0, n=n, t_eff=t)
+        stats = TraceStats(tr_r2=0, tr_r4=nc.mu_pe, offdiag_sum=0, n=n, t_eff=t)
         res = rlm_pe_stat(stats)
         assert res.statistic == pytest.approx(0.0, abs=1e-12)
         assert res.p_value == pytest.approx(0.5, abs=1e-12)
@@ -160,9 +158,6 @@ class TestLmRmt:
         assert rmt_variance(200, 200, 3.0) == pytest.approx(4.0, rel=1e-12)
         for n, t in [(50, 100), (300, 150), (123, 456)]:
             assert rmt_variance(n, t, 3.0) == pytest.approx(4.0 * (n / t) ** 2, rel=1e-12)
-
-    def test_kappa_plug_in_value(self):
-        assert rmt_kappa(200, 2) == pytest.approx(3 * 200 * 196 / (202 * 198), rel=1e-14)
 
     def test_centering_gap_identity(self):
         for n, t in [(100, 100), (200, 100), (50, 150)]:
@@ -267,7 +262,6 @@ class TestInvariances:
                 tr_r2=nc.mu0 + shift * nc.sigma0,
                 tr_r4=0,
                 offdiag_sum=0,
-                max_abs_offdiag=0,
                 n=n,
                 t_eff=t,
             )

@@ -179,6 +179,31 @@ class TestEndToEnd:
         assert main(["test", "--data", "/nonexistent/p.csv"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_cell_is_refused(self, tmp_path, capsys):
+        data = tmp_path / "p.csv"
+        gen = generate_panel(DgpConfig(dgp=1, t=20, n=5, k=2, seed=1), make_rng(1))
+        with open(data, "w", encoding="utf-8", newline="\n") as fh:
+            dump_panel_csv(gen.panel, fh)
+        lines = data.read_text(encoding="utf-8").splitlines()
+        fields = lines[7].split(",")
+        fields[2] = "nan"
+        lines[7] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["test", "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err and f"unit {fields[0]}, time {fields[1]}" in captured.err
+
+    def test_heterogeneous_without_regressors_is_invalid(self, tmp_path, capsys):
+        data = tmp_path / "p.csv"
+        rows = [f"{i},{s},{(i * 7 + s * s) % 11 + 0.5 * s}" for i in range(1, 5) for s in range(1, 13)]
+        data.write_text("unit,time,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["test", "--data", str(data), "--no-intercept"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid panel" in captured.err and "k=0" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_simulate_csv_output_is_stable(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = [

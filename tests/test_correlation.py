@@ -83,7 +83,6 @@ class TestTraceStats:
         assert stats.tr_r2 == pytest.approx(7.0, abs=1e-14)
         assert stats.tr_r4 == pytest.approx(7.0, abs=1e-14)
         assert stats.offdiag_sum == pytest.approx(0.0, abs=1e-14)
-        assert stats.max_abs_offdiag == 0.0
 
     def test_two_by_two_eigenvalue_expansion(self):
         # oracle: eigenvalues 1 +/- rho, so tr R^4 = (1+rho)^4 + (1-rho)^4

@@ -5,6 +5,7 @@ from panelcd.panel import (
     ModelKind,
     ModelSpec,
     NearUnitRootWarning,
+    PanelDataset,
     PanelError,
     RankDeficientError,
     fit_dynamic,
@@ -54,6 +55,26 @@ class TestValidate:
         x[0, 3, 0] = 0.0
         report = validate_dataset(build_panel(panel.y.copy(), x), HET)
         assert any("intercept" in v for v in report.violations)
+
+
+    def test_heterogeneous_without_regressors_flagged(self, rng):
+        panel = build_panel(rng.standard_normal((4, 15)), np.empty((4, 15, 0)), has_intercept=False)
+        report = validate_dataset(panel, HET)
+        assert any("k=0" in v for v in report.violations)
+        assert validate_dataset(panel, DYN).ok
+
+
+class TestPanelDataset:
+    @pytest.mark.parametrize("grid, value", [("y", np.inf), ("y", np.nan), ("x", -np.inf)])
+    def test_non_finite_values_rejected(self, rng, grid, value):
+        panel = random_panel(rng, n=4, t=10, k=2)
+        y, x = panel.y.copy(), panel.x.copy()
+        if grid == "y":
+            y[2, 5] = value
+        else:
+            x[2, 5, 1] = value
+        with pytest.raises(PanelError, match=f"^{grid} has 1 non-finite value.*unit 3, time 6"):
+            PanelDataset(y=y, x=x, unit_ids=panel.unit_ids, time_ids=panel.time_ids)
 
 
 class TestHeterogeneous:
