@@ -191,13 +191,24 @@ def _label_key(label: str):
         return (1, 0.0, label)
 
 
+def _first_non_numeric(cells) -> int:
+    """Index of the first cell ``float`` refuses, in a column known to hold one."""
+    for r, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return r
+
+
 def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
     """Read a balanced long-format panel CSV into a PanelDataset.
 
     Rows may arrive in any order. Unit and time labels are canonicalized
     by sorting numerically when they parse as numbers, lexicographically
     otherwise. An intercept column is inserted at position 0 unless
-    ``add_intercept`` is False.
+    ``add_intercept`` is False. When a file has several faults, the one on
+    the earliest line is reported; a line number is the record index + 2,
+    blank rows included.
 
     Raises
     ------
@@ -212,59 +223,88 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
         header = [h.strip() for h in header]
         if len(header) < 3 or [h.lower() for h in header[:3]] != ["unit", "time", "y"]:
             raise CsvParseError(1, f"header must start with unit,time,y; got {','.join(header)}")
-        x_names = header[3:]
         width = len(header)
 
-        cells: dict = {}
-        units_seen: dict = {}
-        times_seen: dict = {}
+        # every record's cells go into one flat list of strings, read back by
+        # column: no per-row container outlives its line
+        flat: list = []
+        blank_lines: list = []
+        bad_width = None
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
             if len(row) != width:
-                raise CsvParseError(lineno, f"expected {width} fields, got {len(row)}")
-            unit, timelab = row[0].strip(), row[1].strip()
-            values = []
-            for name, cell in zip(header[2:], row[2:]):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise NonNumericError(lineno, name, cell) from None
-            key = (unit, timelab)
-            if key in cells:
-                raise CsvParseError(lineno, f"duplicate observation for unit {unit}, time {timelab}")
-            cells[key] = values
-            units_seen.setdefault(unit, set()).add(timelab)
-            times_seen.setdefault(timelab, None)
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    blank_lines.append(lineno)
+                    continue
+                # rows after this one are never read; an earlier fault still wins
+                bad_width = CsvParseError(lineno, f"expected {width} fields, got {len(row)}")
+                break
+            flat.extend(row)
 
-    if not cells:
-        raise CsvParseError(2, "no data rows")
-    units = sorted(units_seen, key=_label_key)
-    times = sorted(times_seen, key=_label_key)
-    expected = set(times)
-    problems = []
-    for u in units:
-        have = units_seen[u]
-        if have != expected:
-            missing = sorted(expected - have, key=_label_key)
-            problems.append(f"unit {u}: {len(have)}/{len(times)} periods (missing {', '.join(missing[:5])})")
-    if problems:
+    if not flat:
+        raise bad_width or CsvParseError(2, "no data rows")
+    rows = len(flat) // width
+
+    def line_of(record: int) -> int:
+        line = record + 2
+        for blank in blank_lines:
+            if blank > line:
+                break
+            line += 1
+        return line
+
+    values = np.empty((rows, width - 2))  # y, x1..xk of each record
+    faults = []  # (record, column, error); a record's duplicate check runs last
+    for c in range(2, width):
+        cells = flat[c::width]
+        try:
+            values[:, c - 2] = np.fromiter(map(float, cells), dtype=np.float64, count=rows)
+        except ValueError:
+            r = _first_non_numeric(cells)
+            faults.append((r, c, NonNumericError(line_of(r), header[c], cells[r])))
+
+    unit_col = list(map(str.strip, flat[0::width]))
+    time_col = list(map(str.strip, flat[1::width]))
+    units = sorted(dict.fromkeys(unit_col), key=_label_key)
+    times = sorted(dict.fromkeys(time_col), key=_label_key)
+    n, t = len(units), len(times)
+    unit_index = {u: i for i, u in enumerate(units)}
+    time_index = {s: i for i, s in enumerate(times)}
+    cell = np.fromiter(map(unit_index.__getitem__, unit_col), dtype=np.intp, count=rows) * t
+    cell += np.fromiter(map(time_index.__getitem__, time_col), dtype=np.intp, count=rows)
+    counts = np.bincount(cell, minlength=n * t)
+    if counts.max() > 1:
+        order = np.argsort(cell, kind="stable")
+        r = int(order[1:][cell[order[1:]] == cell[order[:-1]]].min())
+        detail = f"duplicate observation for unit {unit_col[r]}, time {time_col[r]}"
+        faults.append((r, width, CsvParseError(line_of(r), detail)))
+    if faults:
+        raise min(faults, key=lambda f: f[:2])[2]
+    if bad_width is not None:
+        raise bad_width
+
+    have = counts.reshape(n, t)
+    gaps = np.flatnonzero((have == 0).any(axis=1))
+    if gaps.size:
+        problems = []
+        for i in gaps:
+            missing = [times[s] for s in np.flatnonzero(have[i] == 0)[:5]]
+            problems.append(
+                f"unit {units[i]}: {int(have[i].sum())}/{t} periods (missing {', '.join(missing)})"
+            )
         raise UnbalancedPanelError("unbalanced panel: " + "; ".join(problems))
 
-    n, t, k_raw = len(units), len(times), len(x_names)
-    y = np.empty((n, t))
-    x = np.empty((n, t, k_raw + (1 if add_intercept else 0)))
-    if add_intercept:
-        x[:, :, 0] = 1.0
-    base = 1 if add_intercept else 0
-    for i, u in enumerate(units):
-        for s, tl in enumerate(times):
-            vals = cells[(u, tl)]
-            y[i, s] = vals[0]
-            for j in range(k_raw):
-                x[i, s, base + j] = vals[1 + j]
+    placed = np.empty_like(values)
+    placed[cell] = values
+    k_raw, base = width - 3, 1 if add_intercept else 0
+    x = np.empty((n, t, base + k_raw))
+    x[:, :, :base] = 1.0
+    x[:, :, base:] = placed[:, 1:].reshape(n, t, k_raw)
     return PanelDataset(
-        y=y, x=x, unit_ids=tuple(units), time_ids=tuple(times), has_intercept=add_intercept
+        y=placed[:, 0].reshape(n, t),
+        x=x,
+        unit_ids=tuple(units),
+        time_ids=tuple(times),
+        has_intercept=add_intercept,
     )
 
 
@@ -313,12 +353,18 @@ def _results_table(results: Sequence[TestResult], t_eff: int, n: int, alpha: flo
     return "\n".join(lines) + "\n"
 
 
+def _failed_cell(row, reps: int):
+    """The ``failed`` entry of a report row: the failure count, or
+    ``unsupported`` when the test applied to no replication."""
+    return "unsupported" if row.unsupported_reps == reps else row.failed_reps
+
+
 def _report_csv(report: RejectionReport) -> str:
     lines = [_CSV_HEADER]
     for row in report.rows:
         lines.append(
             f"{row.t},{row.n},{row.dist},{row.alternative},{row.test},,,"
-            f",{repr(row.frequency)},{repr(row.mc_se)},{row.failed_reps}"
+            f",{repr(row.frequency)},{repr(row.mc_se)},{_failed_cell(row, report.reps)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -342,7 +388,8 @@ def _report_table(report: RejectionReport) -> str:
         for row in report.rows:
             if row.cell_index == ci:
                 lines.append(
-                    f"{row.test:<8} {row.frequency:>10.2f} {row.mc_se:>8.2f} {row.failed_reps:>7}"
+                    f"{row.test:<8} {row.frequency:>10.2f} {row.mc_se:>8.2f} "
+                    f"{_failed_cell(row, report.reps):>7}"
                 )
     return "\n".join(lines) + "\n"
 

@@ -9,7 +9,8 @@ runs on one process or many.
 A replication is generate -> fit -> test -> record decisions. Failures
 inside a replication (for instance a rank-deficient simulated design) are
 captured and counted, never raised, and the failed replication drops out
-of the rejection-frequency denominator.
+of the rejection-frequency denominator. A test that does not apply to the
+cell's model is counted as unsupported, apart from the failures.
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ class ExperimentPlan:
 @dataclass(frozen=True)
 class RepOutcome:
     """Per-test reject flags for one replication; None marks a test that
-    produced no decision (failed or unsupported)."""
+    produced no decision. ``unsupported`` names the requested tests whose
+    None means the test does not apply, not that it failed."""
 
     flags: tuple
     error: str = ""
+    unsupported: tuple = ()
 
     @property
     def failed(self) -> bool:
@@ -77,6 +80,7 @@ class ReportRow:
     rejection_count: int
     valid_reps: int
     failed_reps: int
+    unsupported_reps: int
 
     @property
     def frequency(self) -> float:
@@ -126,7 +130,8 @@ def run_replication(
     """Generate one panel, fit it per its model spec, and run the battery.
 
     Returns one flag per requested test: True/False for a decision, None
-    when that test was unsupported or the whole replication failed.
+    when that test was unsupported or failed, or the whole replication
+    failed. Unsupported tests are also listed by name.
     """
     tests = tuple(tests)
     try:
@@ -144,7 +149,8 @@ def run_replication(
     flags = tuple(
         bool(by_name[t].reject) if by_name[t].status == "ok" else None for t in tests
     )
-    return RepOutcome(flags=flags)
+    unsupported = tuple(t for t in tests if by_name[t].status == "unsupported")
+    return RepOutcome(flags=flags, unsupported=unsupported)
 
 
 def _run_task(plan: ExperimentPlan, task) -> RepOutcome:
@@ -176,6 +182,7 @@ def run_experiment(plan: ExperimentPlan) -> RejectionReport:
         for ti, test in enumerate(plan.tests):
             flags = [o.flags[ti] for o in cell_outcomes]
             valid = sum(f is not None for f in flags)
+            unsupported = sum(test in o.unsupported for o in cell_outcomes)
             rows.append(
                 ReportRow(
                     cell_index=ci,
@@ -186,7 +193,8 @@ def run_experiment(plan: ExperimentPlan) -> RejectionReport:
                     test=test,
                     rejection_count=sum(bool(f) for f in flags),
                     valid_reps=valid,
-                    failed_reps=plan.reps - valid,
+                    failed_reps=plan.reps - valid - unsupported,
+                    unsupported_reps=unsupported,
                 )
             )
     return RejectionReport(

@@ -15,7 +15,9 @@ from panelcd.cli import (
     parse_args,
 )
 from panelcd import cd_stats
+from panelcd.correlation import GRID_BLOCK
 from panelcd.dgp import DgpConfig, generate_panel, make_rng
+from panelcd.panel import ModelKind, ModelSpec, fit
 
 
 class TestParseArgs:
@@ -107,6 +109,43 @@ class TestLoadPanelCsv:
         f.write_text("unit,time,y\na,1,1.0\na,1,2.0\n", encoding="utf-8")
         with pytest.raises(CsvParseError, match="duplicate"):
             load_panel_csv(str(f))
+
+    @pytest.mark.parametrize(
+        "body, error, line",
+        [
+            ("a,1,1.0\n\na,2,oops\n", NonNumericError, 4),
+            ("a,1,1.0\n\na,1,2.0\n", CsvParseError, 4),
+            # the earliest fault wins: non-numeric on line 3, short row on line 5
+            ("a,1,1.0\na,2,bad\na,3,3.0\na,4\n", NonNumericError, 3),
+        ],
+    )
+    def test_fault_line_numbers(self, tmp_path, body, error, line):
+        f = tmp_path / "p.csv"
+        f.write_text("unit,time,y\n" + body, encoding="utf-8")
+        with pytest.raises(error) as err:
+            load_panel_csv(str(f))
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}")
+
+    def test_quoted_label_with_comma(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text(
+            'unit,time,y\n"Smith, J",1,1.0\n"Smith, J",2,2.0\nb,1,3.0\nb,2,4.0\n',
+            encoding="utf-8",
+        )
+        panel = load_panel_csv(str(f))
+        assert panel.unit_ids == ("Smith, J", "b")
+        np.testing.assert_array_equal(panel.y, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_whitespace_padded_cells(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text(
+            "unit,time,y,x1\na, 1 , 1.5 ,  0.25\na, 2 ,2.5,0.5 \n", encoding="utf-8"
+        )
+        panel = load_panel_csv(str(f))
+        assert panel.unit_ids == ("a",) and panel.time_ids == ("1", "2")
+        np.testing.assert_array_equal(panel.y, [[1.5, 2.5]])
+        np.testing.assert_array_equal(panel.x[0, :, 1], [0.25, 0.5])
 
     def test_bad_header(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -203,6 +242,37 @@ class TestEndToEnd:
         assert captured.out == ""
         assert "invalid panel" in captured.err and "k=0" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_round_trip_above_grid_block(self, tmp_path):
+        # more units than two LM_adj grid blocks, and not a multiple of one
+        n = 2 * GRID_BLOCK + 3
+        data, report = tmp_path / "p.csv", tmp_path / "r.csv"
+        dump = ["dump-dgp", "--dgp", "2", "--T", "30", "--n", str(n), "--seed", "7"]
+        assert main(dump + ["--output", str(data)]) == 0
+        gen = generate_panel(parse_args(dump).dgp_config, make_rng(7))
+        loaded = load_panel_csv(str(data))
+        assert np.array_equal(loaded.y, gen.panel.y)
+        assert np.array_equal(loaded.x, gen.panel.x)
+        assert loaded.unit_ids == gen.panel.unit_ids
+        assert loaded.time_ids == gen.panel.time_ids
+
+        assert main(["test", "--data", str(data), "--format", "csv", "--output", str(report)]) == 0
+        resid = fit(gen.panel, ModelSpec(ModelKind.HETEROGENEOUS), keep_bases=True)
+        results = cd_stats.run_all(resid, cd_stats.TestConfig(tests=cd_stats.ALL_TESTS))
+        assert all(r.status == "ok" for r in results)
+        expected = emit_report(results, "csv", t_eff=resid.t_eff, n=resid.n)
+        assert report.read_text(encoding="utf-8") == expected
+
+    def test_simulate_reports_unsupported_apart_from_failed(self, capsys):
+        argv = "simulate --dgp 3 --T 30 --n 10 --reps 20 --seed 1 --tests rlm,lmadj".split()
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "30,10,normal,null,LM_adj,,,,nan,nan,unsupported"
+        assert lines[2].startswith("30,10,normal,null,RLM,") and lines[2].endswith(",0")
+        assert main(argv) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert next(l for l in table if l.startswith("LM_adj")).split()[-1] == "unsupported"
+        assert next(l for l in table if l.startswith("RLM")).split()[-1] == "0"
 
     def test_simulate_csv_output_is_stable(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from panelcd.correlation import (
+    GRID_BLOCK,
     CorrelationMatrix,
     DegenerateUnitError,
     InvalidBasisError,
@@ -165,17 +168,36 @@ class TestProjectionMoments:
         assert a.mu == pytest.approx(b.mu, rel=1e-12)
         assert a.sigma == pytest.approx(b.sigma, rel=1e-12)
 
-    def test_grid_matches_pairwise_calls(self, rng):
-        t, k, n = 14, 2, 5
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 2 * GRID_BLOCK + 3])
+    def test_grid_matches_pairwise_calls(self, rng, n, k):
+        t = 14
         bases = np.stack([random_basis(rng, t, k) for _ in range(n)])
         mu, sigma = projection_moment_grids(bases, t, k)
-        for i in range(n):
-            for j in range(n):
+        assert np.array_equal(mu, mu.T) and np.array_equal(sigma, sigma.T)
+        # every unit on a block edge, plus a few inside the blocks
+        edges = {0, n - 1} | {e + d for e in range(GRID_BLOCK, n, GRID_BLOCK) for d in (-1, 0)}
+        units = sorted(edges | set(rng.choice(n, size=min(n, 6), replace=False).tolist()))
+        for i in units:
+            for j in units:
                 if i == j:
                     continue
                 pm = projection_pair_moments(bases[i], bases[j], t, k)
                 assert mu[i, j] == pytest.approx(pm.mu, rel=1e-12)
                 assert sigma[i, j] == pytest.approx(pm.sigma, rel=1e-12)
+
+    def test_grid_working_memory_is_blocked(self, rng):
+        # the two (n, n) outputs are 2 n^2 doubles; an (n, n, k, k) layout
+        # needs about 24 n^2 at k = 3
+        n, t, k = 400, 100, 3
+        bases = np.linalg.svd(rng.standard_normal((n, t, k)), full_matrices=False)[0]
+        tracemalloc.start()
+        try:
+            projection_moment_grids(bases, t, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n * n * 8
 
     def test_moments_match_monte_carlo_for_distinct_designs(self):
         # two fixed designs sharing the intercept column; normal errors

@@ -82,6 +82,16 @@ class TestRunExperiment:
         p = row.rejection_count / row.valid_reps
         assert row.mc_se == pytest.approx(100.0 * np.sqrt(p * (1 - p) / row.valid_reps))
 
+    def test_unsupported_test_is_not_counted_as_failed(self):
+        # LM_adj has no design-pair moments for within residuals (dgp 3)
+        plan = ExperimentPlan(
+            cells=(small_cell(dgp=3),), reps=6, tests=("LM_adj", "RLM"), root_seed=1
+        )
+        rows = {row.test: row for row in run_experiment(plan).rows}
+        lm_adj, rlm = rows["LM_adj"], rows["RLM"]
+        assert (lm_adj.valid_reps, lm_adj.failed_reps, lm_adj.unsupported_reps) == (0, 0, 6)
+        assert (rlm.valid_reps, rlm.failed_reps, rlm.unsupported_reps) == (6, 0, 0)
+
     def test_paper_sized_cell_has_no_failures(self):
         plan = ExperimentPlan(
             cells=(small_cell(t=50, n=25),), reps=200, tests=("RLM", "RLM_PE"), root_seed=31,
