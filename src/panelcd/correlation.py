@@ -220,7 +220,7 @@ def projection_moment_grids(bases: np.ndarray, t: int, k: int):
                 tr_mm2 += d if a == b else 2.0 * d
         var = tr_mm * tr_mm * a1 + 2.0 * tr_mm2 * a2
         for out, block in ((mu, tr_mm / (t - k)), (sigma, np.sqrt(var))):
-            # the block's leading square holds both (i, j) and (j, i); keep its upper triangle
+            # the block's leading square holds (i, j) and (j, i): keep its upper triangle
             square = block[:, : r1 - r0]
             lower = np.tril_indices(r1 - r0, -1)
             square[lower] = square.T[lower]

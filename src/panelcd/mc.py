@@ -57,8 +57,8 @@ class ExperimentPlan:
 @dataclass(frozen=True)
 class RepOutcome:
     """Per-test reject flags for one replication; None marks a test that
-    produced no decision. ``unsupported`` names the requested tests whose
-    None means the test does not apply, not that it failed."""
+    produced no decision. ``unsupported`` names the requested tests that do
+    not apply to the cell's model; their flags are None as well."""
 
     flags: tuple
     error: str = ""
