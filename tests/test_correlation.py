@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -168,20 +169,17 @@ class TestProjectionMoments:
         assert a.mu == pytest.approx(b.mu, rel=1e-12)
         assert a.sigma == pytest.approx(b.sigma, rel=1e-12)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("n", [5, 2 * GRID_BLOCK + 3])
-    def test_grid_matches_pairwise_calls(self, rng, n, k):
+    def test_grid_matches_pairwise_calls(self, rng):
         t = 14
-        bases = np.stack([random_basis(rng, t, k) for _ in range(n)])
-        mu, sigma = projection_moment_grids(bases, t, k)
-        assert np.array_equal(mu, mu.T) and np.array_equal(sigma, sigma.T)
-        # every unit on a block edge, plus a few inside the blocks
-        edges = {0, n - 1} | {e + d for e in range(GRID_BLOCK, n, GRID_BLOCK) for d in (-1, 0)}
-        units = sorted(edges | set(rng.choice(n, size=min(n, 6), replace=False).tolist()))
-        for i in units:
-            for j in units:
-                if i == j:
-                    continue
+        # one block, and several blocks with a ragged last one
+        for n, k in itertools.product((5, 2 * GRID_BLOCK + 3), (1, 2, 3)):
+            bases = np.stack([random_basis(rng, t, k) for _ in range(n)])
+            mu, sigma = projection_moment_grids(bases, t, k)
+            assert np.array_equal(mu, mu.T) and np.array_equal(sigma, sigma.T)
+            # every unit on a block edge, plus a few inside the blocks
+            edges = {0, n - 1} | {e + d for e in range(GRID_BLOCK, n, GRID_BLOCK) for d in (-1, 0)}
+            units = sorted(edges | set(rng.choice(n, size=min(n, 6), replace=False).tolist()))
+            for i, j in itertools.permutations(units, 2):
                 pm = projection_pair_moments(bases[i], bases[j], t, k)
                 assert mu[i, j] == pytest.approx(pm.mu, rel=1e-12)
                 assert sigma[i, j] == pytest.approx(pm.sigma, rel=1e-12)
