@@ -13,10 +13,10 @@ algebra: with M_i = I - Q_i Q_i' and C = Q_i' Q_j,
     tr((M_i M_j)^2) = T - 2k + tr((C'C)^2)
 
 which turns the O(T^3) dense products into O(T k^2) per pair. The grid
-version works through row blocks of a fixed size (``GRID_BLOCK``) and sums
-each pair's k x k terms in a fixed order. It computes each unordered pair
-once and mirrors it, so the two triangles of a grid are equal bit for bit;
-it agrees with the per-pair helper to rounding.
+version works through square tiles of unit pairs, ``GRID_BLOCK`` units a
+side, and sums each pair's k x k terms in a fixed order. It computes each
+unordered pair once and mirrors it, so the two triangles of a grid are
+equal bit for bit; it agrees with the per-pair helper to rounding.
 """
 
 from __future__ import annotations
@@ -33,8 +33,12 @@ DEGENERATE_SS = 1e-24
 
 ORTHONORMAL_TOL = 1e-8
 
-# Rows of the LM_adj moment grid computed per block; working memory is
-# about (k^2 + 4) * GRID_BLOCK * n doubles besides the two (n, n) outputs.
+# Side of the square tiles of unit pairs the LM_adj moment grid is computed
+# in. A tile's products are GRID_BLOCK x T x GRID_BLOCK, which OpenBLAS runs
+# on the calling thread up to T of about 128: the grid then neither waits for
+# BLAS worker threads nor leaves them spinning through its elementwise steps,
+# either of which makes its time depend on what else the machine runs.
+# Working memory is about 2 k^2 GRID_BLOCK^2 doubles besides the outputs.
 GRID_BLOCK = 64
 
 
@@ -186,17 +190,16 @@ def projection_moment_grids(bases: np.ndarray, t: int, k: int):
     ``bases`` has shape (n, T, k). Returns two exactly symmetric (n, n)
     arrays whose diagonals are filled but meaningless (callers mask i == j).
 
-    Rows i are taken ``GRID_BLOCK`` at a time against the columns j from
-    the block's first row on, so only the upper triangle is computed. The
-    k^2 slab products G_ab = Q[i, :, a] @ Q[j, :, b]' hold every entry of
-    C = Q_i'Q_j, and with D_ab = sum_c G_ac G_bc
+    Pairs (i, j) are taken in square tiles of ``GRID_BLOCK`` units a side
+    on and above the diagonal, so only the upper triangle is computed. One
+    batched product gives a tile's k^2 slabs G_ab = Q[i, :, a] @ Q[j, :, b]',
+    which hold every entry of C = Q_i'Q_j, and with D_ab = sum_c G_ac G_bc
 
         tr(M_i M_j)     = T - 2k + sum_ab G_ab^2
-        tr((M_i M_j)^2) = T - 2k + sum_{a<=b} w_ab D_ab^2,
+        tr((M_i M_j)^2) = T - 2k + sum_ab D_ab^2.
 
-    w_ab = 1 on the diagonal and 2 off it (D is symmetric). Each block is
-    mirrored into the lower triangle as it is written, so working memory
-    beyond the outputs is O(GRID_BLOCK * n * k^2).
+    Each tile is mirrored into the lower triangle as it is written, so
+    working memory beyond the outputs is O(k^2 * GRID_BLOCK^2).
     """
     n = bases.shape[0]
     q = np.ascontiguousarray(np.transpose(bases, (2, 0, 1)))  # q[a]: column a of every unit
@@ -204,26 +207,19 @@ def projection_moment_grids(bases: np.ndarray, t: int, k: int):
     mu = np.empty((n, n))
     sigma = np.empty((n, n))
     for r0 in range(0, n, GRID_BLOCK):
-        r1 = min(r0 + GRID_BLOCK, n)
-        g = [[q[a, r0:r1] @ q[b, r0:].T for b in range(k)] for a in range(k)]
-        tr_mm = np.full((r1 - r0, n - r0), t - 2.0 * k)
-        tr_mm2 = tr_mm.copy()
-        for row in g:
-            for slab in row:
-                tr_mm += slab * slab
-        for a in range(k):
-            for b in range(a, k):
-                d = g[a][0] * g[b][0]
-                for c in range(1, k):
-                    d += g[a][c] * g[b][c]
-                d *= d
-                tr_mm2 += d if a == b else 2.0 * d
-        var = tr_mm * tr_mm * a1 + 2.0 * tr_mm2 * a2
-        for out, block in ((mu, tr_mm / (t - k)), (sigma, np.sqrt(var))):
-            # the block's leading square holds (i, j) and (j, i): keep its upper triangle
-            square = block[:, : r1 - r0]
-            lower = np.tril_indices(r1 - r0, -1)
-            square[lower] = square.T[lower]
-            out[r0:r1, r0:] = block
-            out[r0:, r0:r1] = block.T
+        rows = slice(r0, min(r0 + GRID_BLOCK, n))
+        for c0 in range(r0, n, GRID_BLOCK):
+            cols = slice(c0, min(c0 + GRID_BLOCK, n))
+            g = q[:, None, rows] @ np.swapaxes(q[None, :, cols], 2, 3)  # g[a, b] = G_ab
+            tr_mm = t - 2.0 * k + np.einsum("abij,abij->ij", g, g)
+            d = np.einsum("acij,bcij->abij", g, g)
+            tr_mm2 = t - 2.0 * k + np.einsum("abij,abij->ij", d, d)
+            var = tr_mm * tr_mm * a1 + 2.0 * tr_mm2 * a2
+            for out, tile in ((mu, tr_mm / (t - k)), (sigma, np.sqrt(var))):
+                if c0 == r0:
+                    # a diagonal tile holds (i, j) and (j, i): keep its upper triangle
+                    lower = np.tril_indices(len(tile), -1)
+                    tile[lower] = tile.T[lower]
+                out[rows, cols] = tile
+                out[cols, rows] = tile.T
     return mu, sigma
