@@ -21,6 +21,7 @@ including the lag column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -314,7 +315,8 @@ def run_all(resid: ResidualMatrix, cfg: TestConfig) -> list[TestResult]:
 
     The correlation matrix and its trace statistics are computed once and
     shared. Per-test problems (unsupported model, missing bases, numeric
-    errors) become failure entries; the batch itself never aborts.
+    errors, a non-finite statistic or p-value) become failure entries; the
+    batch itself never aborts.
     """
     requested = [t for t in ALL_TESTS if t in cfg.tests]
     alpha = cfg.alpha
@@ -339,7 +341,11 @@ def run_all(resid: ResidualMatrix, cfg: TestConfig) -> list[TestResult]:
     results: list[TestResult] = []
     for name in requested:
         try:
-            results.append(battery[name]())
+            res = battery[name]()
         except TestComputationError as exc:
-            results.append(_failure(name, alpha, "failed", str(exc)))
+            res = _failure(name, alpha, "failed", str(exc))
+        if res.status == "ok" and not (math.isfinite(res.statistic) and math.isfinite(res.p_value)):
+            detail = f"non-finite result: statistic {res.statistic!r}, p-value {res.p_value!r}"
+            res = _failure(name, alpha, "failed", detail)
+        results.append(res)
     return results

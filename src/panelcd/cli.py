@@ -191,6 +191,19 @@ def _label_key(label: str):
         return (1, 0.0, label)
 
 
+def _numeric_clash(labels):
+    """The first label, in the given order, that parses to the same number as
+    an earlier one, as (earlier, later); None when there is none."""
+    seen = {}
+    for label in labels:
+        key = _label_key(label)
+        if key[0] == 0:
+            if key[1] in seen:
+                return seen[key[1]], label
+            seen[key[1]] = label
+    return None
+
+
 def _first_non_numeric(cells) -> int:
     """Index of the first cell ``float`` refuses, in a column known to hold one."""
     for r, cell in enumerate(cells):
@@ -205,10 +218,11 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
 
     Rows may arrive in any order. Unit and time labels are canonicalized
     by sorting numerically when they parse as numbers, lexicographically
-    otherwise. An intercept column is inserted at position 0 unless
-    ``add_intercept`` is False. When a file has several faults, the one on
-    the earliest line is reported; a line number is the record index + 2,
-    blank rows included.
+    otherwise; two spellings of one number (``1`` and ``1.0``, ``1`` and
+    ``01``) are refused rather than read as two labels. An intercept column
+    is inserted at position 0 unless ``add_intercept`` is False. When a
+    file has several faults, the one on the earliest line is reported; a
+    line number is the record index + 2, blank rows included.
 
     Raises
     ------
@@ -264,8 +278,15 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
 
     unit_col = list(map(str.strip, flat[0::width]))
     time_col = list(map(str.strip, flat[1::width]))
-    units = sorted(dict.fromkeys(unit_col), key=_label_key)
-    times = sorted(dict.fromkeys(time_col), key=_label_key)
+    units = list(dict.fromkeys(unit_col))
+    times = list(dict.fromkeys(time_col))
+    for c, (kind, col, labels) in enumerate((("unit", unit_col, units), ("time", time_col, times))):
+        clash = _numeric_clash(labels)
+        if clash is not None:
+            r = col.index(clash[1])
+            detail = f"{kind} label {clash[1]!r} equals {clash[0]!r} as a number"
+            faults.append((r, c, CsvParseError(line_of(r), detail)))
+        labels.sort(key=_label_key)
     n, t = len(units), len(times)
     unit_index = {u: i for i, u in enumerate(units)}
     time_index = {s: i for i, s in enumerate(times)}

@@ -6,6 +6,16 @@ demeaning and no degrees-of-freedom correction. Fitted residuals from any
 model with an intercept (or a within transform) are already mean zero per
 unit, so this coincides with the classical correlation there.
 
+With V the residual rows scaled to unit norm (n x T), R = V V'. The
+statistics other than LM_adj read R only through tr(R^2), tr(R^4) and the
+sum of its off-diagonal entries, and V V' (n x n) and V'V (T x T) share
+their nonzero eigenvalues. So ``trace_stats`` works on the Gram matrix of
+the smaller side, G = V V' when n <= T and V'V otherwise:
+tr(R^2) = ||G||_F^2, tr(R^4) = ||G^2||_F^2, and the off-diagonal sum is
+||sum_i v_i||^2 - n. The n x n matrix itself is formed only when read,
+which LM_adj does. These agree with the formulas on an explicit R to
+rounding.
+
 The projection-moment helpers reduce all trace computations to k x k
 algebra: with M_i = I - Q_i Q_i' and C = Q_i' Q_j,
 
@@ -22,7 +32,7 @@ equal bit for bit; it agrees with the per-pair helper to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -58,20 +68,46 @@ class InvalidBasisError(CorrelationError):
     """A supplied basis does not have orthonormal columns."""
 
 
-@dataclass(frozen=True)
 class CorrelationMatrix:
-    """Symmetric n x n residual correlation matrix with unit diagonal."""
+    """Symmetric n x n residual correlation matrix R with unit diagonal.
 
-    rho: np.ndarray
+    :func:`correlation_matrix` keeps the unit-norm residual rows V (``rows``,
+    n x T) with R = V V' and forms ``rho`` only when it is first read, so
+    statistics that need only traces never hold an n x n array. Constructed
+    from an explicit matrix, ``rows`` is None.
+    """
 
-    def __post_init__(self):
-        r = np.ascontiguousarray(np.asarray(self.rho, dtype=np.float64))
-        r.flags.writeable = False
-        object.__setattr__(self, "rho", r)
+    def __init__(self, rho: np.ndarray):
+        self.rows: Optional[np.ndarray] = None
+        self._rho = _read_only(rho)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "CorrelationMatrix":
+        corr = cls.__new__(cls)
+        corr.rows = _read_only(rows)
+        corr._rho = None
+        return corr
+
+    @property
+    def rho(self) -> np.ndarray:
+        if self._rho is None:
+            v = self.rows
+            # store once and mirror so rho[i, j] == rho[j, i] exactly
+            upper = np.triu(v @ v.T, 1)
+            rho = upper + upper.T
+            np.fill_diagonal(rho, 1.0)
+            self._rho = _read_only(rho)
+        return self._rho
 
     @property
     def n(self) -> int:
-        return self.rho.shape[0]
+        return (self._rho if self.rows is None else self.rows).shape[0]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -96,6 +132,11 @@ class ProjectionPairMoments:
 def correlation_matrix(resid: Union[ResidualMatrix, np.ndarray]) -> CorrelationMatrix:
     """Pairwise raw-sum correlations of the residual rows.
 
+    Each row is divided by its largest absolute value before its norm is
+    taken, so the sum of squares neither overflows nor underflows for any
+    finite row. The result keeps the unit-norm rows; see
+    :class:`CorrelationMatrix`.
+
     Parameters
     ----------
     resid : ResidualMatrix or ndarray, shape (n, T_eff)
@@ -106,30 +147,41 @@ def correlation_matrix(resid: Union[ResidualMatrix, np.ndarray]) -> CorrelationM
         If some row's sum of squares falls below ``DEGENERATE_SS``.
     """
     v = resid.resid if isinstance(resid, ResidualMatrix) else np.asarray(resid, dtype=np.float64)
-    ss = np.einsum("nt,nt->n", v, v)
-    if np.min(ss) < DEGENERATE_SS:
-        raise DegenerateUnitError(int(np.argmin(ss)))
-    vn = v / np.sqrt(ss)[:, None]
-    r = vn @ vn.T
-    # store once and mirror so rho[i, j] == rho[j, i] exactly
-    upper = np.triu(r, 1)
-    rho = upper + upper.T
-    np.fill_diagonal(rho, 1.0)
-    return CorrelationMatrix(rho)
+    scale = np.max(np.abs(v), axis=1)
+    w = v / np.where(scale > 0.0, scale, 1.0)[:, None]
+    norm_w = np.sqrt(np.einsum("nt,nt->n", w, w))
+    norm = scale * norm_w
+    if np.min(norm) < np.sqrt(DEGENERATE_SS):
+        raise DegenerateUnitError(int(np.argmin(norm)))
+    w /= norm_w[:, None]
+    return CorrelationMatrix.from_rows(w)
 
 
 def trace_stats(corr: CorrelationMatrix, t_eff: int) -> TraceStats:
     """tr(R^2), tr(R^4) and the off-diagonal sum of a correlation matrix.
 
-    tr(R^4) is the squared Frobenius norm of one symmetric product R @ R;
-    the explicit fourth power is never formed.
+    For a matrix kept as unit-norm rows V (n x T), R = V V' and the traces
+    come from the Gram matrix on the smaller side, G = V V' when n <= T and
+    G = V'V otherwise, which share their nonzero eigenvalues:
+
+        tr(R^2) = ||G||_F^2,   tr(R^4) = ||G^2||_F^2,
+        sum_{i != j} rho_ij = ||sum_i v_i||^2 - n.
+
+    No n x n array is formed when n > T. For an explicit ``rho`` the same
+    quantities are ||R||_F^2, ||R^2||_F^2 and the sum of R minus n.
     """
-    r = corr.rho
     n = corr.n
-    tr_r2 = float(np.einsum("ij,ij->", r, r))
-    r2 = r @ r
-    tr_r4 = float(np.einsum("ij,ij->", r2, r2))
-    offdiag_sum = float(r.sum() - n)
+    v = corr.rows
+    if v is None:
+        g = corr.rho
+        offdiag_sum = float(g.sum() - n)
+    else:
+        g = v @ v.T if n <= v.shape[1] else v.T @ v
+        s = v.sum(axis=0)
+        offdiag_sum = float(s @ s - n)
+    tr_r2 = float(np.einsum("ij,ij->", g, g))
+    g2 = g @ g
+    tr_r4 = float(np.einsum("ij,ij->", g2, g2))
     return TraceStats(tr_r2=tr_r2, tr_r4=tr_r4, offdiag_sum=offdiag_sum, n=n, t_eff=int(t_eff))
 
 

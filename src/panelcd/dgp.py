@@ -132,12 +132,16 @@ def gen_loadings(
 
 
 def _ar1(innov: np.ndarray, coef: float = AR_COEF) -> np.ndarray:
-    """Recursion x_t = coef * x_{t-1} + innov_t along the last axis, x_{-1} = 0."""
-    x = np.empty_like(innov)
-    x[..., 0] = innov[..., 0]
-    for t in range(1, innov.shape[-1]):
-        x[..., t] = coef * x[..., t - 1] + innov[..., t]
-    return x
+    """Recursion x_t = coef * x_{t-1} + innov_t along the last axis, x_{-1} = 0.
+
+    The recursion runs on a time-major copy, so each step reads and writes
+    one contiguous slab; every sum is the same two terms as in the plain
+    recursion, so the result is the same bit for bit.
+    """
+    x = np.moveaxis(innov, -1, 0).copy()
+    for t in range(1, x.shape[0]):
+        x[t] += coef * x[t - 1]
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
 
 def _ar_innovations(n: int, n_reg: int, span: int, rng: np.random.Generator) -> np.ndarray:

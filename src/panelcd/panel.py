@@ -105,8 +105,8 @@ class PanelDataset:
         if self.has_intercept and x.shape[2] == 0:
             raise PanelError("has_intercept=True requires at least one x column")
         for name, grid in (("y", y), ("x", x)):
-            bad = np.argwhere(~np.isfinite(grid))
-            if bad.size:
+            if not np.isfinite(grid).all():
+                bad = np.argwhere(~np.isfinite(grid))
                 i, s = bad[0][:2]
                 raise PanelError(
                     f"{name} has {len(bad)} non-finite value(s), first at unit "

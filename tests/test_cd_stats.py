@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,31 @@ class TestRunAll:
         results = run_all(resid, Config())
         assert len(results) == 8
         assert len(calls) == 1
+
+    def test_non_finite_statistic_is_failed(self, rng):
+        v = rng.standard_normal((4, 12))
+        v[1, 3] = np.nan
+        resid = ResidualMatrix(
+            resid=v, t_eff=12, k_eff=0, estimator=ModelSpec(ModelKind.HETEROGENEOUS)
+        )
+        results = run_all(resid, Config(tests=("LM", "CD_P", "RLM", "RLM_PE")))
+        assert [r.status for r in results] == ["failed"] * 4
+        assert all("non-finite" in r.message and not r.reject for r in results)
+
+    def test_trace_tests_form_no_n_by_n_array(self, rng):
+        n, t = 400, 50
+        resid = ResidualMatrix(
+            resid=rng.standard_normal((n, t)), t_eff=t, k_eff=0,
+            estimator=ModelSpec(ModelKind.HETEROGENEOUS),
+        )
+        tracemalloc.start()
+        try:
+            results = run_all(resid, Config(tests=("RLM", "RLM_PE")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.status == "ok" for r in results)
+        assert peak < n * n * 8
 
     def test_degenerate_input_yields_failure_entries(self, rng):
         v = rng.standard_normal((4, 12))

@@ -127,6 +127,25 @@ class TestLoadPanelCsv:
         assert err.value.line == line
         assert str(err.value).startswith(f"line {line}")
 
+    @pytest.mark.parametrize(
+        "body, line, spellings",
+        [
+            ("a,1,1.0\na,01,2.0\nb,1,3.0\nb,01,4.0\n", 3, ("'01'", "'1'")),
+            ("a,1,1.0\na,1.0,2.0\n", 3, ("'1.0'", "'1'")),
+            ("7,1,1.0\n07,1,2.0\n", 3, ("'07'", "'7'")),
+            # the earliest fault still wins
+            ("a,1,x\na,1.0,2.0\n", 2, ("'x'",)),
+            ("a,1,1.0\na,1.0,2.0\na,2,x\n", 3, ("'1.0'", "'1'")),
+        ],
+    )
+    def test_one_number_spelled_two_ways_is_refused(self, tmp_path, body, line, spellings):
+        f = tmp_path / "p.csv"
+        f.write_text("unit,time,y\n" + body, encoding="utf-8")
+        with pytest.raises(CsvParseError) as err:
+            load_panel_csv(str(f))
+        assert err.value.line == line
+        assert all(s in str(err.value) for s in spellings)
+
     def test_quoted_label_with_comma(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text(

@@ -73,6 +73,16 @@ class TestCorrelationMatrix:
         corr = correlation_matrix(v)
         assert np.linalg.eigvalsh(corr.rho).min() >= -1e-8
 
+    def test_huge_rows_do_not_overflow(self, rng):
+        # the sum of squares of a row scaled by 1e200 is inf in double precision
+        v = rng.standard_normal((6, 20))
+        big = v * 1e200
+        corr, corr_big = correlation_matrix(v), correlation_matrix(big)
+        np.testing.assert_allclose(corr_big.rho, corr.rho, rtol=0, atol=1e-12)
+        a, b = trace_stats(corr, 20), trace_stats(corr_big, 20)
+        for name in ("tr_r2", "tr_r4", "offdiag_sum"):
+            assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-12, abs=1e-12)
+
     def test_degenerate_unit_raises(self, rng):
         v = rng.standard_normal((4, 10))
         v[1] = 0.0
@@ -107,6 +117,15 @@ class TestTraceStats:
         corr = correlation_matrix(rng.standard_normal((50, 80)))
         stats = trace_stats(corr, t_eff=80)
         assert stats.tr_r2 == pytest.approx(np.trace(corr.rho @ corr.rho), rel=1e-10)
+
+    @pytest.mark.parametrize("n, t", [(20, 45), (30, 30), (45, 20)])
+    def test_gram_side_matches_explicit_rho(self, rng, n, t):
+        # rows give the traces from the min(n, T)-side Gram matrix
+        corr = correlation_matrix(rng.standard_normal((n, t)) + 0.3 * rng.standard_normal(t))
+        from_rows = trace_stats(corr, t)
+        from_rho = trace_stats(CorrelationMatrix(corr.rho), t)
+        for name in ("tr_r2", "tr_r4", "offdiag_sum"):
+            assert getattr(from_rows, name) == pytest.approx(getattr(from_rho, name), rel=1e-12)
 
     def test_offdiagonal_mass_nonnegative(self, rng):
         for _ in range(5):

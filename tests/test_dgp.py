@@ -6,6 +6,7 @@ from panelcd.dgp import (
     Alternative,
     DgpConfig,
     ErrorDist,
+    _ar1,
     _dgp2_recursion,
     _dgp4_recursion,
     _stable_lag_coefs,
@@ -125,6 +126,17 @@ class TestGenerators:
             innov = x[1:] - 0.6 * x[:-1]
             ratio = x.var() / (innov.var() / (1 - 0.36))
             assert 0.8 < ratio < 1.2
+
+    @pytest.mark.parametrize("shape", [(40,), (5, 40), (5, 3, 40)])
+    def test_ar1_bit_equal_to_loop(self, shape):
+        innov = make_rng(4).standard_normal(shape)
+        ref = np.empty_like(innov)
+        ref[..., 0] = innov[..., 0]
+        for t in range(1, shape[-1]):
+            ref[..., t] = 0.6 * ref[..., t - 1] + innov[..., t]
+        x = _ar1(innov)
+        assert x.flags.c_contiguous
+        assert np.array_equal(x, ref)
 
     def test_dgp2_zero_noise_recursion_is_identically_zero(self):
         n, span = 4, 60
