@@ -21,6 +21,7 @@ import argparse
 import csv
 import os
 import sys
+from decimal import Decimal
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -184,23 +185,24 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def _label_key(label: str):
-    # numeric labels order numerically, everything else lexicographically after
+    # numeric labels order numerically, everything else lexicographically
+    # after; the exact Decimal value orders labels that round to one double
     try:
-        return (0, float(label), "")
+        return (0, float(label), Decimal(label))
     except ValueError:
         return (1, 0.0, label)
 
 
 def _numeric_clash(labels):
-    """The first label, in the given order, that parses to the same number as
-    an earlier one, as (earlier, later); None when there is none."""
+    """The first label, in the given order, whose exact value as a number
+    equals an earlier one's, as (earlier, later); None when there is none."""
     seen = {}
     for label in labels:
-        key = _label_key(label)
-        if key[0] == 0:
-            if key[1] in seen:
-                return seen[key[1]], label
-            seen[key[1]] = label
+        kind, _, value = _label_key(label)
+        if kind == 0:
+            if value in seen:
+                return seen[value], label
+            seen[value] = label
     return None
 
 

@@ -10,11 +10,11 @@ With V the residual rows scaled to unit norm (n x T), R = V V'. The
 statistics other than LM_adj read R only through tr(R^2), tr(R^4) and the
 sum of its off-diagonal entries, and V V' (n x n) and V'V (T x T) share
 their nonzero eigenvalues. So ``trace_stats`` works on the Gram matrix of
-the smaller side, G = V V' when n <= T and V'V otherwise:
-tr(R^2) = ||G||_F^2, tr(R^4) = ||G^2||_F^2, and the off-diagonal sum is
-||sum_i v_i||^2 - n. The n x n matrix itself is formed only when read,
-which LM_adj does. These agree with the formulas on an explicit R to
-rounding.
+the smaller side: G = V'V when n > T, with tr(R^2) = ||G||_F^2,
+tr(R^4) = ||G^2||_F^2 and the off-diagonal sum ||sum_i v_i||^2 - n, which
+agree with the formulas on R to rounding; G = R itself when n <= T. The
+n x n matrix is formed only when read, which LM_adj and the n <= T traces
+do.
 
 The projection-moment helpers reduce all trace computations to k x k
 algebra: with M_i = I - Q_i Q_i' and C = Q_i' Q_j,
@@ -73,8 +73,8 @@ class CorrelationMatrix:
 
     :func:`correlation_matrix` keeps the unit-norm residual rows V (``rows``,
     n x T) with R = V V' and forms ``rho`` only when it is first read, so
-    statistics that need only traces never hold an n x n array. Constructed
-    from an explicit matrix, ``rows`` is None.
+    when n > T statistics that need only traces never hold an n x n array.
+    Constructed from an explicit matrix, ``rows`` is None.
     """
 
     def __init__(self, rho: np.ndarray):
@@ -160,25 +160,26 @@ def correlation_matrix(resid: Union[ResidualMatrix, np.ndarray]) -> CorrelationM
 def trace_stats(corr: CorrelationMatrix, t_eff: int) -> TraceStats:
     """tr(R^2), tr(R^4) and the off-diagonal sum of a correlation matrix.
 
-    For a matrix kept as unit-norm rows V (n x T), R = V V' and the traces
-    come from the Gram matrix on the smaller side, G = V V' when n <= T and
-    G = V'V otherwise, which share their nonzero eigenvalues:
+    The traces come from the Gram matrix on the smaller side. When the
+    matrix is kept as unit-norm rows V (n x T) with n > T, G = V'V, which
+    shares its nonzero eigenvalues with R = V V':
 
         tr(R^2) = ||G||_F^2,   tr(R^4) = ||G^2||_F^2,
-        sum_{i != j} rho_ij = ||sum_i v_i||^2 - n.
+        sum_{i != j} rho_ij = ||sum_i v_i||^2 - n,
 
-    No n x n array is formed when n > T. For an explicit ``rho`` the same
-    quantities are ||R||_F^2, ||R^2||_F^2 and the sum of R minus n.
+    and no n x n array is formed. Otherwise G = R itself (read through
+    ``rho``, which LM_adj reuses) and the off-diagonal sum is the sum of R
+    minus n.
     """
     n = corr.n
     v = corr.rows
-    if v is None:
-        g = corr.rho
-        offdiag_sum = float(g.sum() - n)
-    else:
-        g = v @ v.T if n <= v.shape[1] else v.T @ v
+    if v is not None and n > v.shape[1]:
+        g = v.T @ v
         s = v.sum(axis=0)
         offdiag_sum = float(s @ s - n)
+    else:
+        g = corr.rho
+        offdiag_sum = float(g.sum() - n)
     tr_r2 = float(np.einsum("ij,ij->", g, g))
     g2 = g @ g
     tr_r4 = float(np.einsum("ij,ij->", g2, g2))

@@ -82,12 +82,15 @@ class TestLoadPanelCsv:
     def test_numeric_label_sorting(self, tmp_path):
         f = tmp_path / "p.csv"
         rows = ["unit,time,y"]
+        # 17-digit time labels a unit apart round to one double but are two periods
         for u in ("10", "2", "1"):
-            for t in ("1", "2"):
-                rows.append(f"{u},{t},1.5")
+            for t in ("20230101120000002", "20230101120000001"):
+                rows.append(f"{u},{t},{t[-1]}")
         f.write_text("\n".join(rows) + "\n", encoding="utf-8")
         panel = load_panel_csv(str(f))
         assert panel.unit_ids == ("1", "2", "10")
+        assert panel.time_ids == ("20230101120000001", "20230101120000002")
+        np.testing.assert_array_equal(panel.y, [[1.0, 2.0]] * 3)
 
     def test_missing_row_is_unbalanced(self, tmp_path):
         f = tmp_path / "p.csv"
