@@ -74,15 +74,17 @@ class CorrelationMatrix:
     :func:`correlation_matrix` keeps the unit-norm residual rows V (``rows``,
     n x T) with R = V V' and forms ``rho`` only when it is first read, so
     when n > T statistics that need only traces never hold an n x n array.
-    Constructed from an explicit matrix, ``rows`` is None.
+    Constructed from an explicit matrix, it keeps a read-only copy of that
+    matrix and ``rows`` is None.
     """
 
     def __init__(self, rho: np.ndarray):
         self.rows: Optional[np.ndarray] = None
-        self._rho = _read_only(rho)
+        self._rho = _read_only(np.array(rho, dtype=np.float64))
 
     @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "CorrelationMatrix":
+    def _from_rows(cls, rows: np.ndarray) -> "CorrelationMatrix":
+        """Wrap rows the package made itself; they are frozen, not copied."""
         corr = cls.__new__(cls)
         corr.rows = _read_only(rows)
         corr._rho = None
@@ -154,7 +156,7 @@ def correlation_matrix(resid: Union[ResidualMatrix, np.ndarray]) -> CorrelationM
     if np.min(norm) < np.sqrt(DEGENERATE_SS):
         raise DegenerateUnitError(int(np.argmin(norm)))
     w /= norm_w[:, None]
-    return CorrelationMatrix.from_rows(w)
+    return CorrelationMatrix._from_rows(w)
 
 
 def trace_stats(corr: CorrelationMatrix, t_eff: int) -> TraceStats:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -168,6 +167,7 @@ def run_experiment(plan: ExperimentPlan) -> RejectionReport:
     start = time.perf_counter()
     tasks = [(ci, ri) for ci in range(len(plan.cells)) for ri in range(plan.reps)]
     if plan.workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         from functools import partial
 
         chunk = max(1, len(tasks) // (plan.workers * 8))

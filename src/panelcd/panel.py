@@ -17,7 +17,7 @@ moment-adjusted LM test needs them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -88,10 +88,13 @@ class PanelDataset:
     unit_ids: tuple
     time_ids: tuple
     has_intercept: bool = True
+    # least-squares fits of this panel's design stacks (see _fitted_stack)
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=np.float64))
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=np.float64))
+        # private copies: freezing them leaves the caller's arrays writable
+        y = np.array(self.y, dtype=np.float64, order="C")
+        x = np.array(self.x, dtype=np.float64, order="C")
         if y.ndim != 2:
             raise PanelError(f"y must be 2-d (n, T), got shape {y.shape}")
         if x.ndim != 3 or x.shape[:2] != y.shape:
@@ -150,7 +153,7 @@ class ResidualMatrix:
     coef: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        r = np.ascontiguousarray(np.asarray(self.resid, dtype=np.float64))
+        r = np.array(self.resid, dtype=np.float64, order="C")
         r.flags.writeable = False
         object.__setattr__(self, "resid", r)
 
@@ -191,17 +194,12 @@ def validate_dataset(data: PanelDataset, spec: ModelSpec) -> ValidationReport:
             v.append(f"constant response for unit {data.unit_ids[i]}")
 
     if spec.kind is ModelKind.FIXED_EFFECTS:
-        xd, yd = _demeaned_stack(data)
-        if xd.shape[2] > 0 and _least_squares(xd, yd).ratio[0] < RANK_TOL:
+        if _within_k(data) > 0 and _fitted_stack(data, spec).ratio[0] < RANK_TOL:
             v.append("rank-deficient pooled demeaned design")
     elif spec.kind is ModelKind.HETEROGENEOUS and data.k == 0:
         v.append("heterogeneous model needs at least one regressor column (k=0)")
     elif spec.kind is ModelKind.HETEROGENEOUS or data.t >= 2:  # a lag needs 2 periods
-        if spec.kind is ModelKind.DYNAMIC:
-            designs, y = _dynamic_designs(data, spec), data.y[:, 1:]
-        else:
-            designs, y = data.x, data.y
-        ratio = _least_squares(designs, y).ratio
+        ratio = _fitted_stack(data, spec).ratio
         for i in np.nonzero(ratio < RANK_TOL)[0]:
             v.append(f"rank-deficient design for unit {data.unit_ids[i]}")
 
@@ -239,13 +237,38 @@ def _least_squares(designs: np.ndarray, y: np.ndarray) -> _LeastSquares:
     return _LeastSquares(ratio, u, resid, coef)
 
 
-def _per_unit_fit(y: np.ndarray, designs: np.ndarray, unit_ids, keep_bases: bool):
+def _fitted_stack(data: PanelDataset, spec: ModelSpec) -> _LeastSquares:
+    """Least squares of the estimator's design stack, factored once per panel.
+
+    Per-unit designs for heterogeneous fits, lag-augmented ones for dynamic
+    fits, the pooled demeaned stack for the within estimator. The result is
+    kept on the panel, read-only, so ``fit`` after ``validate_dataset``
+    reuses the validation's factorization. The panel's arrays are read-only
+    private copies, so a kept result cannot go stale.
+    """
+    # the stack depends on the kind, and for dynamic fits on the intercept
+    key = spec if spec.kind is ModelKind.DYNAMIC else spec.kind
+    ls = data._fits.get(key)
+    if ls is None:
+        if spec.kind is ModelKind.FIXED_EFFECTS:
+            designs, y = _demeaned_stack(data)
+        elif spec.kind is ModelKind.DYNAMIC:
+            designs, y = _dynamic_designs(data, spec), data.y[:, 1:]
+        else:
+            designs, y = data.x, data.y
+        ls = data._fits[key] = _least_squares(designs, y)
+        for part in ls:
+            part.flags.writeable = False
+    return ls
+
+
+def _per_unit_fit(data: PanelDataset, spec: ModelSpec, keep_bases: bool):
     """Per-unit least squares; returns (residuals, coefficients, bases-or-None)
     and raises RankDeficientError naming the first offending unit."""
-    ls = _least_squares(designs, y)
+    ls = _fitted_stack(data, spec)
     bad = np.nonzero(ls.ratio < RANK_TOL)[0]
     if bad.size:
-        raise RankDeficientError(f"unit {unit_ids[bad[0]]}")
+        raise RankDeficientError(f"unit {data.unit_ids[bad[0]]}")
     return ls.resid, ls.coef, (ls.basis if keep_bases else None)
 
 
@@ -272,22 +295,28 @@ def fit_heterogeneous(data: PanelDataset, keep_bases: bool = True) -> ResidualMa
         raise PanelError(f"need T >= k+2, got T={data.t}, k={data.k}")
     if data.k == 0:
         raise PanelError("heterogeneous fit needs at least one regressor column")
-    resid, coef, bases = _per_unit_fit(data.y, data.x, data.unit_ids, keep_bases)
+    spec = ModelSpec(ModelKind.HETEROGENEOUS)
+    resid, coef, bases = _per_unit_fit(data, spec, keep_bases)
     return ResidualMatrix(
         resid=resid,
         t_eff=data.t,
         k_eff=data.k,
-        estimator=ModelSpec(ModelKind.HETEROGENEOUS),
+        estimator=spec,
         ortho_bases=bases,
         coef=coef,
     )
 
 
+def _within_k(data: PanelDataset) -> int:
+    """Regressor count of the within fit: the intercept demeans to zero."""
+    return data.k - 1 if data.has_intercept else data.k
+
+
 def _demeaned_stack(data: PanelDataset):
     """Within-transformed regressors and response, pooled as a batch of one.
 
-    The intercept demeans to zero, so it is removed before the pooled
-    regression; returns (x_demeaned (1, nT, k_eff), y_demeaned (1, nT)).
+    The intercept is removed before the pooled regression; returns
+    (x_demeaned (1, nT, k_eff), y_demeaned (1, nT)).
     """
     x = data.x[:, :, 1:] if data.has_intercept else data.x
     xd = x - x.mean(axis=1, keepdims=True)
@@ -305,12 +334,11 @@ def fit_fixed_effects(data: PanelDataset) -> ResidualMatrix:
     """
     if data.t < data.k + 2:
         raise PanelError(f"need T >= k+2, got T={data.t}, k={data.k}")
-    xd, yd = _demeaned_stack(data)
-    k_eff = xd.shape[2]
+    k_eff = _within_k(data)
     if k_eff == 0:
-        resid, coef = yd, np.zeros(0)
+        resid, coef = _demeaned_stack(data)[1], np.zeros(0)
     else:
-        ls = _least_squares(xd, yd)
+        ls = _fitted_stack(data, ModelSpec(ModelKind.FIXED_EFFECTS))
         if ls.ratio[0] < RANK_TOL:
             raise RankDeficientError("pooled", "demeaned design singular")
         resid, coef = ls.resid, ls.coef[0]
@@ -351,8 +379,7 @@ def fit_dynamic(data: PanelDataset, spec: ModelSpec, keep_bases: bool = True) ->
         raise PanelError("fit_dynamic requires a Dynamic model spec")
     if data.t < data.k + 3:
         raise PanelError(f"need T >= k+3 for dynamic fits, got T={data.t}, k={data.k}")
-    designs = _dynamic_designs(data, spec)
-    resid, coef, bases = _per_unit_fit(data.y[:, 1:], designs, data.unit_ids, keep_bases)
+    resid, coef, bases = _per_unit_fit(data, spec, keep_bases)
     alpha = coef[:, 0]
     hot = np.nonzero(np.abs(alpha) > 0.999)[0]
     if hot.size:
@@ -365,7 +392,7 @@ def fit_dynamic(data: PanelDataset, spec: ModelSpec, keep_bases: bool = True) ->
     return ResidualMatrix(
         resid=resid,
         t_eff=data.t - 1,
-        k_eff=designs.shape[2],
+        k_eff=coef.shape[1],
         estimator=spec,
         ortho_bases=bases,
         coef=coef,

@@ -1,3 +1,5 @@
+import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,6 @@ from panelcd.cd_stats import (
     rlm_pe_stat,
     rlm_stat,
     rmt_centering,
-    rmt_variance,
     run_all,
 )
 
@@ -58,6 +59,54 @@ class TestPValueHelpers:
         res = rlm_stat(stats)
         assert res.p_value == cd.P_FLOOR
         assert res.reject
+
+
+class TestTailFunctions:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 37, 64, 100])
+    def test_chi2_even_df_closed_form(self, m):
+        # Q(m, y) = e^-y sum_{j<m} y^j / j!
+        for y in [1e-3, 0.5, 1.0, 3.0] + [m * f for f in (0.3, 0.8, 0.99, 1.0, 1.01, 1.2, 2.0, 3.0)]:
+            term = total = 1.0
+            for j in range(1, m):
+                term *= y / j
+                total += term
+            assert chi2_sf(2.0 * y, 2 * m) == pytest.approx(math.exp(-y) * total, rel=1e-10)
+
+    def test_chi2_one_df_closed_form(self):
+        for x in [1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.841459, 10.0, 50.0, 200.0, 900.0]:
+            assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2.0)), rel=1e-10)
+
+    def test_chi2_matches_scipy_at_lm_degrees_of_freedom(self):
+        special = pytest.importorskip("scipy.special")
+        ns = list(range(3, 60)) + list(range(60, 1000, 23)) + [1000]
+        for n in ns:
+            df = n * (n - 1) // 2
+            for z in np.arange(-6.0, 12.01, 0.5):
+                x = df + z * math.sqrt(2.0 * df)
+                if x <= 0.0:
+                    assert chi2_sf(x, df) == 1.0
+                    continue
+                expected = float(special.gammaincc(df / 2.0, x / 2.0))
+                assert chi2_sf(x, df) == pytest.approx(expected, rel=1e-10), (n, z)
+
+    def test_normal_matches_scipy_erfc(self):
+        special = pytest.importorskip("scipy.special")
+        for z in np.linspace(-10.0, 37.0, 941):
+            expected = 0.5 * float(special.erfc(z / np.sqrt(2.0)))
+            assert normal_sf(float(z)) == pytest.approx(expected, rel=1e-13)
+
+    def test_edge_inputs_return_promptly(self):
+        start = time.perf_counter()
+        for df in (1, 2, 7, 499500):
+            assert math.isnan(chi2_sf(float("nan"), df))
+            assert chi2_sf(float("inf"), df) == 0.0
+            assert chi2_sf(float("-inf"), df) == 1.0
+            assert chi2_sf(0.0, df) == 1.0
+        assert math.isnan(chi2_sf(1.0, 0))
+        assert math.isnan(normal_sf(float("nan")))
+        assert normal_sf(float("inf")) == 0.0
+        assert normal_sf(float("-inf")) == 1.0
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLm:
@@ -155,11 +204,13 @@ class TestRlmPe:
 
 
 class TestLmRmt:
-    def test_variance_collapses_at_gaussian_kurtosis(self):
-        # symbolic check at n=T, kappa=3: 4*3*3 - 8*4 - 0 = 4, the squared RLM scale
-        assert rmt_variance(200, 200, 3.0) == pytest.approx(4.0, rel=1e-12)
-        for n, t in [(50, 100), (300, 150), (123, 456)]:
-            assert rmt_variance(n, t, 3.0) == pytest.approx(4.0 * (n / t) ** 2, rel=1e-12)
+    def test_shares_rlm_scale(self, rng):
+        # same scale 2n/T as RLM, so the two differ by the centering gap
+        # n^2 / (T^2 (T-1)) over 2n/T, whatever the data
+        for n, t in [(20, 40), (60, 30), (33, 33)]:
+            stats = stats_from_residuals(rng.standard_normal((n, t)), t)
+            gap = rlm_stat(stats).statistic - lm_rmt_stat(stats, 2).statistic
+            assert gap == pytest.approx(-n / (2.0 * t * (t - 1.0)), rel=1e-9, abs=1e-12)
 
     def test_centering_gap_identity(self):
         for n, t in [(100, 100), (200, 100), (50, 150)]:

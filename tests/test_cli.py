@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +323,19 @@ class TestEndToEnd:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+    def test_cli_import_loads_no_scipy_or_process_pool(self):
+        # scipy costs about 0.3 s at import and the worker pool is only
+        # needed for multi-worker runs; neither may sit on the start-up path
+        probe = (
+            "import sys, panelcd.cli; "
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
+        )
+        src = str(Path(cd_stats.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_module_entry_point_runs(self, tmp_path):
         proc = subprocess.run(

@@ -34,6 +34,14 @@ def random_basis(rng, t, k):
 
 
 class TestCorrelationMatrix:
+    def test_explicit_matrix_is_copied_not_frozen(self):
+        a = np.eye(3)
+        corr = CorrelationMatrix(a)
+        assert a.flags.writeable
+        a[0, 1] = 0.5
+        assert corr.rho[0, 1] == 0.0
+        assert not corr.rho.flags.writeable
+
     def test_duplicate_rows_correlate_to_one(self, rng):
         v = rng.standard_normal((4, 12))
         v[2] = v[0]

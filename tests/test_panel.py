@@ -8,6 +8,8 @@ from panelcd.panel import (
     PanelDataset,
     PanelError,
     RankDeficientError,
+    ResidualMatrix,
+    fit,
     fit_dynamic,
     fit_fixed_effects,
     fit_heterogeneous,
@@ -64,7 +66,48 @@ class TestValidate:
         assert validate_dataset(panel, DYN).ok
 
 
+class TestFactorOnce:
+    @pytest.mark.parametrize(
+        "spec", [HET, DYN, ModelSpec(ModelKind.FIXED_EFFECTS)], ids=lambda s: s.kind.value
+    )
+    def test_fit_reuses_the_validation_factorization(self, rng, monkeypatch, spec):
+        panel = random_panel(rng, n=6, t=20, k=2)
+        expected = fit(build_panel(panel.y, panel.x), spec)  # a fresh, unfactored copy
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert validate_dataset(panel, spec).ok
+        res = fit(panel, spec)
+        assert len(calls) == 1
+        assert np.array_equal(res.resid, expected.resid)
+        assert np.array_equal(res.coef, expected.coef)
+        if spec.kind is not ModelKind.FIXED_EFFECTS:
+            assert np.array_equal(res.ortho_bases, expected.ortho_bases)
+
+
 class TestPanelDataset:
+    def test_caller_arrays_stay_writable_and_detached(self, rng):
+        y = rng.standard_normal((4, 10))
+        x = np.ones((4, 10, 1))
+        panel = build_panel(y, x)
+        assert y.flags.writeable and x.flags.writeable
+        y[0, 0] = 99.0
+        assert panel.y[0, 0] != 99.0
+        assert not panel.y.flags.writeable and not panel.x.flags.writeable
+
+    def test_residual_matrix_copies_the_callers_array(self, rng):
+        r = rng.standard_normal((4, 10))
+        resid = ResidualMatrix(resid=r, t_eff=10, k_eff=1, estimator=HET)
+        assert r.flags.writeable
+        r[0, 0] = 99.0
+        assert resid.resid[0, 0] != 99.0
+        assert not resid.resid.flags.writeable
+
     @pytest.mark.parametrize("grid, value", [("y", np.inf), ("y", np.nan), ("x", -np.inf)])
     def test_non_finite_values_rejected(self, rng, grid, value):
         panel = random_panel(rng, n=4, t=10, k=2)
