@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("PANELCD_WORKERS", "1")),
+        default=os.environ.get("PANELCD_WORKERS", "1"),  # argparse applies type
         help="parallel worker processes (env PANELCD_WORKERS)",
     )
     s.add_argument("--output", default=None)
@@ -236,6 +236,8 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
             header = next(reader)
         except StopIteration:
             raise CsvParseError(1, "empty file") from None
+        except csv.Error as exc:
+            raise CsvParseError(1, str(exc)) from None
         header = [h.strip() for h in header]
         if len(header) < 3 or [h.lower() for h in header[:3]] != ["unit", "time", "y"]:
             raise CsvParseError(1, f"header must start with unit,time,y; got {','.join(header)}")
@@ -246,15 +248,19 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
         flat: list = []
         blank_lines: list = []
         bad_width = None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    blank_lines.append(lineno)
-                    continue
-                # rows after this one are never read; an earlier fault still wins
-                bad_width = CsvParseError(lineno, f"expected {width} fields, got {len(row)}")
-                break
-            flat.extend(row)
+        lineno = 1
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        blank_lines.append(lineno)
+                        continue
+                    # rows after this one are never read; an earlier fault still wins
+                    bad_width = CsvParseError(lineno, f"expected {width} fields, got {len(row)}")
+                    break
+                flat.extend(row)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise CsvParseError(lineno + 1, str(exc)) from None
 
     if not flat:
         raise bad_width or CsvParseError(2, "no data rows")

@@ -8,9 +8,11 @@ The estimators cover the model classes used by the dependence tests:
 - per-unit OLS with an auto-built lag column for dynamic panels.
 
 All three are one least-squares problem on a stack of designs (per unit,
-pooled and demeaned, or lag-augmented), solved by a single thin SVD per
-stack that gives the rank test, the residuals, the coefficients and the
-orthonormal bases; the bases are retained on request because the
+pooled and demeaned, or lag-augmented). Each stack is factored once, for
+all its designs together, by two-pass modified Gram-Schmidt on its
+equilibrated columns followed by one batched SVD of the small triangular
+factors; that gives the rank test, the residuals, the coefficients and
+the orthonormal bases. The bases are retained on request because the
 moment-adjusted LM test needs them.
 """
 
@@ -216,25 +218,45 @@ class _LeastSquares(NamedTuple):
 def _least_squares(designs: np.ndarray, y: np.ndarray) -> _LeastSquares:
     """Least squares of y (m, T) on every design of a stack (m, T, k).
 
-    One thin SVD of the column-equilibrated designs yields everything:
-    equilibration scales each column to unit norm, so the singular-value
-    ratio measures collinearity rather than column scale (feedback designs
-    mix columns whose magnitudes differ by many orders), and the column
-    space, hence the basis and the residuals, is unchanged. Coefficients
-    are unscaled at the end. Rank-deficient designs get a ratio below
-    ``RANK_TOL`` (exactly 0 for a zero column) and meaningless coefficients;
-    callers check the ratio first.
+    One factorization of all m designs at once. The stack is copied into a
+    column-major (k, m, T) array whose columns are equilibrated to unit
+    norm, so the rank test measures collinearity rather than column scale
+    (feedback designs mix columns whose magnitudes differ by many orders)
+    while the column space, hence the basis and the residuals, is
+    unchanged. Two passes of modified Gram-Schmidt, each step one
+    contiguous (m, T) dot and one axpy across all units, turn that array
+    into the orthonormal basis Q in place and give the (m, k, k) stack R.
+    R has the singular values of the equilibrated design, so one batched
+    SVD of the small R stack gives the singular-value ratio and the
+    coefficients, which are unscaled at the end; the residuals are
+    y - Q(Q'y). Rank-deficient designs get a ratio below ``RANK_TOL``
+    (exactly 0 for a zero column) and meaningless coefficients and basis
+    columns; callers check the ratio first. The basis is returned as the
+    read-only (m, T, k) view of the (k, m, T) array.
     """
-    norms = np.linalg.norm(designs, axis=1)
-    scaled = designs / np.where(norms > 0, norms, 1.0)[:, None, :]
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    uty = np.einsum("mtk,mt->mk", u, y)
+    k = designs.shape[2]
+    q = designs.transpose(2, 0, 1).copy()  # q[a]: column a of every design
+    norms = np.sqrt(np.einsum("amt,amt->am", q, q))
+    q /= np.where(norms > 0, norms, 1.0)[:, :, None]
+    r = np.zeros((q.shape[1], k, k))
+    for j in range(k):
+        v = q[j]
+        for _ in range(2):  # the second pass restores orthogonality lost in the first
+            for i in range(j):
+                c = np.einsum("mt,mt->m", q[i], v)
+                r[:, i, j] += c
+                v -= c[:, None] * q[i]
+        r[:, j, j] = np.sqrt(np.einsum("mt,mt->m", v, v))
+        v /= np.where(r[:, j, j] > 0, r[:, j, j], 1.0)[:, None]
+    u, s, vt = np.linalg.svd(r)
+    qty = np.einsum("amt,mt->ma", q, y)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(s[:, 0] > 0, s[:, -1] / s[:, 0], 0.0)
-        coef = np.einsum("mlk,ml->mk", vt, uty / s) / norms
-    ratio[np.any(norms == 0, axis=1)] = 0.0
-    resid = y - np.einsum("mtk,mk->mt", u, uty)
-    return _LeastSquares(ratio, u, resid, coef)
+        coef = np.einsum("mlk,ml->mk", vt, np.einsum("mal,ma->ml", u, qty) / s) / norms.T
+    ratio[np.any(norms == 0, axis=0)] = 0.0
+    resid = y - np.einsum("amt,ma->mt", q, qty)
+    q.flags.writeable = False
+    return _LeastSquares(ratio, q.transpose(1, 2, 0), resid, coef)
 
 
 def _fitted_stack(data: PanelDataset, spec: ModelSpec) -> _LeastSquares:
@@ -321,7 +343,8 @@ def _demeaned_stack(data: PanelDataset):
     x = data.x[:, :, 1:] if data.has_intercept else data.x
     xd = x - x.mean(axis=1, keepdims=True)
     yd = data.y - data.y.mean(axis=1, keepdims=True)
-    return xd.reshape(1, -1, x.shape[2]), yd.reshape(1, -1)
+    nt = data.n * data.t  # explicit: -1 cannot be inferred when k_eff is 0
+    return xd.reshape(1, nt, x.shape[2]), yd.reshape(1, nt)
 
 
 def fit_fixed_effects(data: PanelDataset) -> ResidualMatrix:

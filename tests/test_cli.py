@@ -55,6 +55,19 @@ class TestParseArgs:
         assert parse_args("simulate --dgp 2 --T 50 --n 25".split()).dgp_config.k == 3
         assert parse_args("simulate --dgp 4 --T 50 --n 25".split()).dgp_config.k == 0
 
+    def test_bad_worker_env_spares_test(self, monkeypatch):
+        monkeypatch.setenv("PANELCD_WORKERS", "two")
+        assert parse_args(["test", "--data", "p.csv"]).command == "test"
+
+    def test_bad_worker_env_is_a_simulate_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("PANELCD_WORKERS", "two")
+        with pytest.raises(SystemExit) as exc:
+            parse_args("simulate --dgp 1 --T 50 --n 25".split())
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        monkeypatch.setenv("PANELCD_WORKERS", "3")
+        assert parse_args("simulate --dgp 1 --T 50 --n 25".split()).workers == 3
+
     def test_unknown_test_name(self):
         with pytest.raises(SystemExit) as exc:
             parse_args("test --data p.csv --tests rlm,bogus".split())
@@ -256,6 +269,16 @@ class TestEndToEnd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err and f"unit {fields[0]}, time {fields[1]}" in captured.err
+
+    def test_oversized_field_is_refused_with_its_line(self, tmp_path, capsys):
+        data = tmp_path / "p.csv"
+        big = "9" * 131_073  # one more than the csv module's default field limit
+        data.write_text(f"unit,time,y\na,1,1.0\na,2,{big}\n", encoding="utf-8")
+        assert main(["test", "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3:" in captured.err and "field larger than field limit" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_heterogeneous_without_regressors_is_invalid(self, tmp_path, capsys):
         data = tmp_path / "p.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from panelcd.panel import (
+    RANK_TOL,
     ModelKind,
     ModelSpec,
     NearUnitRootWarning,
@@ -14,6 +15,10 @@ from panelcd.panel import (
     fit_fixed_effects,
     fit_heterogeneous,
     validate_dataset,
+    _demeaned_stack,
+    _dynamic_designs,
+    _fitted_stack,
+    _least_squares,
 )
 
 from conftest import build_panel, random_panel
@@ -88,6 +93,73 @@ class TestFactorOnce:
         assert np.array_equal(res.coef, expected.coef)
         if spec.kind is not ModelKind.FIXED_EFFECTS:
             assert np.array_equal(res.ortho_bases, expected.ortho_bases)
+
+
+class TestLeastSquaresKernel:
+    @staticmethod
+    def stacks(rng):
+        """The design stack and response of each estimator, on one panel."""
+        panel = random_panel(rng, n=6, t=30, k=3)
+        yield "heterogeneous", panel.x, panel.y
+        yield "within", *_demeaned_stack(panel)
+        # a lag column far larger than the others, as in feedback designs
+        big = build_panel(1e5 * panel.y, panel.x)
+        yield "dynamic", _dynamic_designs(big, DYN), big.y[:, 1:]
+
+    def test_ratio_matches_svd_of_equilibrated_design(self, rng):
+        m, t = 40, 60
+        spread = np.logspace(-6, -13, m)  # gives ratios from about 5e-7 down to 4e-14
+        z, w = rng.standard_normal((2, m, t))
+        x = np.empty((m, t, 3))
+        x[:, :, 0] = 1.0
+        x[:, :, 1] = 1e4 * z
+        x[:, :, 2] = 1e-3 * (z + spread[:, None] * w)
+        ratio = _least_squares(x, rng.standard_normal((m, t))).ratio
+        s = np.linalg.svd(x / np.linalg.norm(x, axis=1, keepdims=True), compute_uv=False)
+        expected = s[:, -1] / s[:, 0]
+        assert expected.max() < 1e-6 and expected.min() < 1e-13
+        above = expected > 1e-12
+        np.testing.assert_allclose(ratio[above], expected[above], rtol=1e-5)
+        np.testing.assert_array_equal(ratio < RANK_TOL, expected < RANK_TOL)
+
+    def test_zero_and_collinear_columns_have_zero_ratio(self, rng):
+        x = np.ones((3, 20, 3))
+        x[:, :, 1] = rng.standard_normal((3, 20))
+        x[0, :, 2] = 0.0
+        x[1, :, 2] = -2.5 * x[1, :, 1]
+        x[2, :, 2] = 0.5 * x[2, :, 0] + 3.0 * x[2, :, 1]
+        ratio = _least_squares(x, rng.standard_normal((3, 20))).ratio
+        assert ratio[0] == 0.0
+        # an exactly collinear column leaves a rounding-level diagonal in R
+        assert np.all(ratio[1:] < 1e-14)
+
+    def test_single_column_on_a_read_only_stack(self, rng):
+        x = rng.standard_normal((4, 15, 1))
+        y = rng.standard_normal((4, 15))
+        x.flags.writeable = False
+        kept = x.copy()
+        ls = _least_squares(x, y)
+        assert np.array_equal(x, kept)
+        beta = np.einsum("mt,mt->m", x[:, :, 0], y) / np.einsum("mt,mt->m", x[:, :, 0], x[:, :, 0])
+        np.testing.assert_allclose(ls.coef[:, 0], beta, rtol=1e-12)
+        np.testing.assert_allclose(ls.resid, y - beta[:, None] * x[:, :, 0], atol=1e-12)
+
+    def test_basis_orthonormal_and_residuals_orthogonal(self, rng):
+        for name, designs, y in self.stacks(rng):
+            ls = _least_squares(designs, y)
+            k = designs.shape[2]
+            gram = np.einsum("mta,mtb->mab", ls.basis, ls.basis)
+            np.testing.assert_allclose(gram, np.broadcast_to(np.eye(k), gram.shape), atol=1e-12, err_msg=name)
+            cross = np.abs(np.einsum("mta,mt->ma", designs, ls.resid))
+            scale = np.linalg.norm(designs, axis=1) * np.linalg.norm(ls.resid, axis=1)[:, None]
+            assert np.all(cross <= 1e-12 * scale), name
+
+    @pytest.mark.parametrize("spec", [HET, DYN], ids=lambda s: s.kind.value)
+    def test_basis_and_its_base_are_read_only(self, rng, spec):
+        bases = fit(random_panel(rng, n=5, t=20, k=2), spec).ortho_bases
+        assert not bases.flags.writeable and not bases.base.flags.writeable
+        # the LM_adj grid reads the (k, n, T) layout without a copy
+        assert np.transpose(bases, (2, 0, 1)).flags.c_contiguous
 
 
 class TestPanelDataset:
@@ -239,6 +311,12 @@ class TestFixedEffects:
             col = xd[:, :, l].ravel()
             bound = 1e-8 * np.linalg.norm(col) * np.linalg.norm(res.resid.ravel())
             assert abs(col @ res.resid.ravel()) <= bound
+
+    def test_intercept_only_demeans(self, rng):
+        y = rng.standard_normal((3, 10))
+        res = fit_fixed_effects(build_panel(y, np.ones((3, 10, 1))))
+        assert res.k_eff == 0
+        np.testing.assert_allclose(res.resid, y - y.mean(axis=1, keepdims=True), atol=1e-15)
 
     def test_k_eff_drops_intercept(self, rng):
         panel = random_panel(rng, n=4, t=15, k=3)
