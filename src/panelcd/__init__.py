@@ -17,9 +17,6 @@ from .panel import (
     ResidualMatrix,
     ValidationReport,
     fit,
-    fit_dynamic,
-    fit_fixed_effects,
-    fit_heterogeneous,
     validate_dataset,
 )
 from .correlation import (
@@ -54,10 +51,6 @@ from .dgp import (
     DgpConfig,
     ErrorDist,
     GeneratedPanel,
-    gen_dgp1,
-    gen_dgp2,
-    gen_dgp3,
-    gen_dgp4,
     gen_errors,
     gen_loadings,
     generate_panel,

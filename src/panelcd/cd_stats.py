@@ -345,10 +345,14 @@ def lm_adj_stat(
     bases : ndarray, shape (n, T_eff, k_eff)
         Orthonormal per-unit design bases retained at fit time.
     t_eff, k_eff : int
-        Effective sample length and regressor count of the fit.
+        Effective sample length and regressor count of the fit. LM_adj needs
+        T_eff - k_eff >= 2: at one residual degree of freedom every M_i has
+        rank one, so (T - k) rho_ij^2 equals mu_ij and its variance is 0.
     """
     if bases is None:
         raise MissingBasesError("residuals were fitted without basis retention")
+    if t_eff - k_eff < 2:
+        raise TestComputationError(f"LM_adj needs T > k+1, got T={t_eff}, k={k_eff}")
     n = corr.n
     mu, sigma = projection_moment_grids(bases, t_eff, k_eff)
     z = ((t_eff - k_eff) * corr.rho**2 - mu) / sigma

@@ -172,10 +172,6 @@ def _maybe_loadings(cfg: DgpConfig, rng: np.random.Generator) -> Optional[np.nda
     return gen_loadings(cfg.alternative, cfg.n, rng, cfg.h)
 
 
-def _labels(n: int, t: int):
-    return tuple(str(i) for i in range(1, n + 1)), tuple(str(s) for s in range(1, t + 1))
-
-
 def _assemble(y: np.ndarray, x_cols, n: int, t: int, has_intercept: bool) -> PanelDataset:
     k = 1 + len(x_cols) if has_intercept else len(x_cols)
     x = np.empty((n, t, k))
@@ -186,7 +182,8 @@ def _assemble(y: np.ndarray, x_cols, n: int, t: int, has_intercept: bool) -> Pan
     for col in x_cols:
         x[:, :, pos] = col
         pos += 1
-    units, times = _labels(n, t)
+    units = tuple(str(i) for i in range(1, n + 1))
+    times = tuple(str(s) for s in range(1, t + 1))
     return PanelDataset(y=y, x=x, unit_ids=units, time_ids=times, has_intercept=has_intercept)
 
 
@@ -300,14 +297,7 @@ def gen_dgp4(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     v = _disturbances(cfg, n, p + t, rng, lam)
     xi = v[:, p - 1] + eta  # disturbance at time 0 enters the fixed effect
     y = _dgp4_recursion(xi, beta, v)
-    units, times = _labels(n, t)
-    panel = PanelDataset(
-        y=y[:, p:],
-        x=np.empty((n, t, 0)),
-        unit_ids=units,
-        time_ids=times,
-        has_intercept=False,
-    )
+    panel = _assemble(y[:, p:], [], n, t, False)
     return GeneratedPanel(panel, lam, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
 
 

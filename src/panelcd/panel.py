@@ -1,6 +1,7 @@
-"""Balanced-panel containers and the three residual estimators.
+"""Balanced-panel containers and the residual fit.
 
-The estimators cover the model classes used by the dependence tests:
+One entry point, :func:`fit`, covers the three model classes used by the
+dependence tests, as selected by a :class:`ModelSpec`:
 
 - per-unit OLS for heterogeneous-coefficient panels,
 - the within (demeaning) estimator for fixed-effects panels with a
@@ -14,6 +15,10 @@ equilibrated columns followed by one batched SVD of the small triangular
 factors; that gives the rank test, the residuals, the coefficients and
 the orthonormal bases. The bases are retained on request because the
 moment-adjusted LM test needs them.
+
+:func:`validate_dataset` and :func:`fit` read one set of estimator rules
+(the size rule, the regressor rule and the rank test): validation reports
+every broken rule, fit raises the first.
 """
 
 from __future__ import annotations
@@ -34,14 +39,12 @@ class PanelError(Exception):
 
 
 class RankDeficientError(PanelError):
-    """A unit design (or the pooled demeaned design) is numerically singular."""
+    """A unit design (scope ``unit <label>``) or the pooled demeaned design
+    (scope ``pooled``) is numerically singular."""
 
-    def __init__(self, scope: str, detail: str = ""):
+    def __init__(self, scope: str):
         self.scope = scope
-        msg = f"rank-deficient design: {scope}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"rank-deficient design: {scope}")
 
 
 class NearUnitRootWarning(UserWarning):
@@ -173,38 +176,45 @@ class ValidationReport:
         return not self.violations
 
 
+def _rule_breaks(data: PanelDataset, spec: ModelSpec) -> list:
+    """The estimator's rules that ``data`` breaks, as the errors ``fit`` raises.
+
+    - Size rule: the lag takes one period, so min T = k + 2 + lag and
+      T_eff = T - lag.
+    - A heterogeneous fit needs at least one regressor column.
+    - Rank test: every design of the factored stack has smallest/largest
+      singular value at least ``RANK_TOL``. It runs whenever the stack holds
+      a period, even on a panel too short for the size rule, so a report
+      lists every problem at once.
+    """
+    lag = 1 if spec.kind is ModelKind.DYNAMIC else 0
+    breaks = []
+    if data.t < data.k + 2 + lag:
+        rule = "T < k+3 (dynamic)" if lag else "T < k+2"
+        breaks.append(PanelError(f"{rule}: T={data.t}, k={data.k}"))
+    if spec.kind is ModelKind.HETEROGENEOUS and data.k == 0:
+        breaks.append(PanelError("heterogeneous model needs at least one regressor column (k=0)"))
+    elif data.t > lag:
+        pooled = spec.kind is ModelKind.FIXED_EFFECTS
+        bad = np.nonzero(_fitted_stack(data, spec).ratio < RANK_TOL)[0]
+        breaks += [RankDeficientError("pooled" if pooled else f"unit {data.unit_ids[i]}") for i in bad]
+    return breaks
+
+
 def validate_dataset(data: PanelDataset, spec: ModelSpec) -> ValidationReport:
     """Check a panel against the requirements of the chosen estimator.
 
     Report-only: returns the list of violations instead of raising, so a
-    front end can show all problems at once.
+    front end can show all problems at once. Besides the estimator's rules,
+    which ``fit`` enforces in the same words, the tests need n >= 3, a true
+    intercept column and no constant response.
     """
-    v = []
-    if data.n < 3:
-        v.append(f"n < 3 (got n={data.n})")
-    min_t = data.k + 3 if spec.kind is ModelKind.DYNAMIC else data.k + 2
-    if data.t < min_t:
-        rule = "T < k+3 (dynamic)" if spec.kind is ModelKind.DYNAMIC else "T < k+2"
-        v.append(f"{rule}: T={data.t}, k={data.k}")
-    if data.has_intercept and data.k > 0:
-        if not np.all(data.x[:, :, 0] == 1.0):
-            v.append("intercept column (x column 0) is not identically 1")
-
-    for i in range(data.n):
-        yi = data.y[i]
-        if np.all(yi == yi[0]):
-            v.append(f"constant response for unit {data.unit_ids[i]}")
-
-    if spec.kind is ModelKind.FIXED_EFFECTS:
-        if _within_k(data) > 0 and _fitted_stack(data, spec).ratio[0] < RANK_TOL:
-            v.append("rank-deficient pooled demeaned design")
-    elif spec.kind is ModelKind.HETEROGENEOUS and data.k == 0:
-        v.append("heterogeneous model needs at least one regressor column (k=0)")
-    elif spec.kind is ModelKind.HETEROGENEOUS or data.t >= 2:  # a lag needs 2 periods
-        ratio = _fitted_stack(data, spec).ratio
-        for i in np.nonzero(ratio < RANK_TOL)[0]:
-            v.append(f"rank-deficient design for unit {data.unit_ids[i]}")
-
+    v = [f"n < 3 (got n={data.n})"] if data.n < 3 else []
+    v += [str(e) for e in _rule_breaks(data, spec)]
+    if data.has_intercept and not np.all(data.x[:, :, 0] == 1.0):
+        v.append("intercept column (x column 0) is not identically 1")
+    constant = np.nonzero(np.all(data.y == data.y[:, :1], axis=1))[0]
+    v += [f"constant response for unit {data.unit_ids[i]}" for i in constant]
     return ValidationReport(tuple(v))
 
 
@@ -267,6 +277,9 @@ def _fitted_stack(data: PanelDataset, spec: ModelSpec) -> _LeastSquares:
     kept on the panel, read-only, so ``fit`` after ``validate_dataset``
     reuses the validation's factorization. The panel's arrays are read-only
     private copies, so a kept result cannot go stale.
+
+    An intercept-only within stack has no columns: its residuals are the
+    demeaned response, and the empty design passes the rank test.
     """
     # the stack depends on the kind, and for dynamic fits on the intercept
     key = spec if spec.kind is ModelKind.DYNAMIC else spec.kind
@@ -278,60 +291,14 @@ def _fitted_stack(data: PanelDataset, spec: ModelSpec) -> _LeastSquares:
             designs, y = _dynamic_designs(data, spec), data.y[:, 1:]
         else:
             designs, y = data.x, data.y
-        ls = data._fits[key] = _least_squares(designs, y)
+        if designs.shape[2]:
+            ls = _least_squares(designs, y)
+        else:
+            ls = _LeastSquares(np.ones(len(y)), designs, y, np.zeros((len(y), 0)))
+        data._fits[key] = ls
         for part in ls:
             part.flags.writeable = False
     return ls
-
-
-def _per_unit_fit(data: PanelDataset, spec: ModelSpec, keep_bases: bool):
-    """Per-unit least squares; returns (residuals, coefficients, bases-or-None)
-    and raises RankDeficientError naming the first offending unit."""
-    ls = _fitted_stack(data, spec)
-    bad = np.nonzero(ls.ratio < RANK_TOL)[0]
-    if bad.size:
-        raise RankDeficientError(f"unit {data.unit_ids[bad[0]]}")
-    return ls.resid, ls.coef, (ls.basis if keep_bases else None)
-
-
-def fit_heterogeneous(data: PanelDataset, keep_bases: bool = True) -> ResidualMatrix:
-    """Per-unit OLS residuals for the heterogeneous-coefficient model.
-
-    Each unit's response is regressed on that unit's own design, so the
-    residual vector is orthogonal to every regressor column of the unit.
-
-    Parameters
-    ----------
-    data : PanelDataset
-    keep_bases : bool
-        Retain the per-unit orthonormal design bases (needed later by the
-        moment-adjusted LM test).
-
-    Raises
-    ------
-    RankDeficientError
-        If some unit's design has smallest/largest singular value below
-        ``RANK_TOL``.
-    """
-    if data.t < data.k + 2:
-        raise PanelError(f"need T >= k+2, got T={data.t}, k={data.k}")
-    if data.k == 0:
-        raise PanelError("heterogeneous fit needs at least one regressor column")
-    spec = ModelSpec(ModelKind.HETEROGENEOUS)
-    resid, coef, bases = _per_unit_fit(data, spec, keep_bases)
-    return ResidualMatrix(
-        resid=resid,
-        t_eff=data.t,
-        k_eff=data.k,
-        estimator=spec,
-        ortho_bases=bases,
-        coef=coef,
-    )
-
-
-def _within_k(data: PanelDataset) -> int:
-    """Regressor count of the within fit: the intercept demeans to zero."""
-    return data.k - 1 if data.has_intercept else data.k
 
 
 def _demeaned_stack(data: PanelDataset):
@@ -345,34 +312,6 @@ def _demeaned_stack(data: PanelDataset):
     yd = data.y - data.y.mean(axis=1, keepdims=True)
     nt = data.n * data.t  # explicit: -1 cannot be inferred when k_eff is 0
     return xd.reshape(1, nt, x.shape[2]), yd.reshape(1, nt)
-
-
-def fit_fixed_effects(data: PanelDataset) -> ResidualMatrix:
-    """Within-estimator residuals for the common-slope fixed-effects model.
-
-    Unit means are removed from response and regressors, a single slope
-    vector is estimated from the pooled demeaned stacks, and residuals are
-    the demeaned response minus its fitted part. Residuals therefore sum
-    to zero within each unit.
-    """
-    if data.t < data.k + 2:
-        raise PanelError(f"need T >= k+2, got T={data.t}, k={data.k}")
-    k_eff = _within_k(data)
-    if k_eff == 0:
-        resid, coef = _demeaned_stack(data)[1], np.zeros(0)
-    else:
-        ls = _fitted_stack(data, ModelSpec(ModelKind.FIXED_EFFECTS))
-        if ls.ratio[0] < RANK_TOL:
-            raise RankDeficientError("pooled", "demeaned design singular")
-        resid, coef = ls.resid, ls.coef[0]
-    return ResidualMatrix(
-        resid=resid.reshape(data.n, data.t),
-        t_eff=data.t,
-        k_eff=k_eff,
-        estimator=ModelSpec(ModelKind.FIXED_EFFECTS),
-        ortho_bases=None,
-        coef=coef,
-    )
 
 
 def _dynamic_designs(data: PanelDataset, spec: ModelSpec) -> np.ndarray:
@@ -389,43 +328,52 @@ def _dynamic_designs(data: PanelDataset, spec: ModelSpec) -> np.ndarray:
     return np.concatenate(cols, axis=2)
 
 
-def fit_dynamic(data: PanelDataset, spec: ModelSpec, keep_bases: bool = True) -> ResidualMatrix:
-    """Per-unit OLS residuals for the dynamic model with a lagged response.
+def fit(data: PanelDataset, spec: ModelSpec, keep_bases: bool = True) -> ResidualMatrix:
+    """Residuals of the estimator selected by ``spec.kind``.
 
-    The design for unit i at time t is (y_{i,t-1}, x_it', [1]); the first
-    period supplies the presample lag, so T_eff = T - 1.
+    - Heterogeneous: each unit's response is regressed on that unit's own
+      design, so its residual vector is orthogonal to every regressor
+      column of the unit.
+    - Fixed effects: the within estimator. Unit means are removed from
+      response and regressors (the intercept demeans to zero and is
+      dropped), one slope vector is estimated from the pooled demeaned
+      stack, and the residuals sum to zero within each unit.
+    - Dynamic: per-unit OLS on (y_{i,t-1}, x_it', [1]). The first period
+      supplies the presample lag, so T_eff = T - 1; the constant is
+      appended when ``spec.include_intercept`` is set and the panel carries
+      no intercept column.
 
-    Warns with :class:`NearUnitRootWarning` (non-fatal) when any estimated
-    lag coefficient exceeds 0.999 in absolute value.
+    ``k_eff`` counts the columns of the fitted design. ``keep_bases``
+    retains the per-unit orthonormal design bases, which the
+    moment-adjusted LM test needs; the pooled within fit has none.
+
+    Raises :class:`PanelError` when the panel breaks the size rule
+    (T >= k+2, or k+3 for a dynamic fit) or a heterogeneous panel has no
+    regressor column, and :class:`RankDeficientError` when some design's
+    smallest/largest singular value is below ``RANK_TOL``, naming the first
+    such unit or ``pooled``. Warns with :class:`NearUnitRootWarning`
+    (non-fatal) when a dynamic fit estimates some |lag coefficient| > 0.999.
     """
-    if spec.kind is not ModelKind.DYNAMIC:
-        raise PanelError("fit_dynamic requires a Dynamic model spec")
-    if data.t < data.k + 3:
-        raise PanelError(f"need T >= k+3 for dynamic fits, got T={data.t}, k={data.k}")
-    resid, coef, bases = _per_unit_fit(data, spec, keep_bases)
-    alpha = coef[:, 0]
-    hot = np.nonzero(np.abs(alpha) > 0.999)[0]
-    if hot.size:
+    breaks = _rule_breaks(data, spec)
+    if breaks:
+        raise breaks[0]
+    _, basis, resid, coef = _fitted_stack(data, spec)
+    if spec.kind is ModelKind.FIXED_EFFECTS:
+        basis, resid, coef = None, resid.reshape(data.n, data.t), coef[0]
+    dynamic = spec.kind is ModelKind.DYNAMIC
+    hot = np.nonzero(np.abs(coef[:, 0]) > 0.999)[0] if dynamic else []
+    if len(hot):
         labels = ", ".join(str(data.unit_ids[i]) for i in hot[:5])
         warnings.warn(
-            f"|lag coefficient| > 0.999 for {hot.size} unit(s): {labels}",
+            f"|lag coefficient| > 0.999 for {len(hot)} unit(s): {labels}",
             NearUnitRootWarning,
             stacklevel=2,
         )
     return ResidualMatrix(
         resid=resid,
-        t_eff=data.t - 1,
-        k_eff=coef.shape[1],
-        estimator=spec,
-        ortho_bases=bases,
+        t_eff=resid.shape[1],
+        k_eff=coef.shape[-1],
+        estimator=spec if dynamic else ModelSpec(spec.kind),
+        ortho_bases=basis if keep_bases else None,
         coef=coef,
     )
-
-
-def fit(data: PanelDataset, spec: ModelSpec, keep_bases: bool = True) -> ResidualMatrix:
-    """Dispatch to the estimator selected by ``spec.kind``."""
-    if spec.kind is ModelKind.HETEROGENEOUS:
-        return fit_heterogeneous(data, keep_bases=keep_bases)
-    if spec.kind is ModelKind.FIXED_EFFECTS:
-        return fit_fixed_effects(data)
-    return fit_dynamic(data, spec, keep_bases=keep_bases)

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from panelcd.cd_stats import (
 # alias avoids pytest trying to collect the production config class
 Config = cd.TestConfig
 from panelcd.correlation import CorrelationMatrix, TraceStats, correlation_matrix, trace_stats
-from panelcd.panel import ModelKind, ModelSpec, ResidualMatrix, fit_fixed_effects, fit_heterogeneous
+from panelcd.panel import ModelKind, ModelSpec, NearUnitRootWarning, ResidualMatrix, fit
 
-from conftest import random_panel
+from conftest import build_panel, random_panel
 
 
 def stats_for(rho_matrix, t_eff):
@@ -325,12 +326,12 @@ class TestInvariances:
 
 class TestRunAll:
     def test_requested_subset_dispatch(self, rng):
-        resid = fit_heterogeneous(random_panel(rng))
+        resid = fit(random_panel(rng), ModelSpec(ModelKind.HETEROGENEOUS))
         results = run_all(resid, Config(tests=("RLM", "RLM_PE")))
         assert [r.name for r in results] == ["RLM", "RLM_PE"]
 
     def test_lm_adj_unsupported_for_fixed_effects(self, rng):
-        resid = fit_fixed_effects(random_panel(rng))
+        resid = fit(random_panel(rng), ModelSpec(ModelKind.FIXED_EFFECTS))
         results = run_all(resid, Config(tests=("LM_adj", "RLM")))
         by_name = {r.name: r for r in results}
         assert by_name["LM_adj"].status == "unsupported"
@@ -338,9 +339,27 @@ class TestRunAll:
         assert by_name["RLM"].status == "ok"
 
     def test_lm_adj_unsupported_without_bases(self, rng):
-        resid = fit_heterogeneous(random_panel(rng), keep_bases=False)
+        resid = fit(random_panel(rng), ModelSpec(ModelKind.HETEROGENEOUS), keep_bases=False)
         (res,) = run_all(resid, Config(tests=("LM_adj",)))
         assert res.status == "unsupported"
+
+    @pytest.mark.parametrize("dof", [1, 0])
+    def test_lm_adj_fails_without_warnings_below_two_residual_degrees_of_freedom(self, rng, dof):
+        # dynamic fits at T = k+3: at one degree of freedom the exact variance
+        # is 0; at none (a constant appended to a panel without one) the
+        # moment weights divide by T - k
+        if dof:
+            panel = random_panel(rng, n=5, t=4, k=1)
+        else:
+            panel = build_panel(1e8 * rng.standard_normal((4, 3)), np.empty((4, 3, 0)), False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearUnitRootWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            resid = fit(panel, ModelSpec(ModelKind.DYNAMIC))
+            results = {r.name: r for r in run_all(resid, Config())}
+        assert resid.t_eff - resid.k_eff == dof
+        assert results["LM_adj"].status == "failed"
+        assert f"LM_adj needs T > k+1, got T={resid.t_eff}, k=2" in results["LM_adj"].message
 
     def test_full_battery_shares_one_trace_computation(self, rng, monkeypatch):
         calls = []
@@ -351,7 +370,7 @@ class TestRunAll:
             return original(corr, t_eff)
 
         monkeypatch.setattr(cd, "trace_stats", spy)
-        resid = fit_heterogeneous(random_panel(rng))
+        resid = fit(random_panel(rng), ModelSpec(ModelKind.HETEROGENEOUS))
         results = run_all(resid, Config())
         assert len(results) == 8
         assert len(calls) == 1
@@ -391,7 +410,7 @@ class TestRunAll:
         assert all(r.status == "failed" for r in results)
 
     def test_p_values_consistent_with_distribution(self, rng):
-        resid = fit_heterogeneous(random_panel(rng, n=6, t=30, k=2))
+        resid = fit(random_panel(rng, n=6, t=30, k=2), ModelSpec(ModelKind.HETEROGENEOUS))
         for res in run_all(resid, Config()):
             if res.status != "ok":
                 continue

@@ -15,7 +15,7 @@ from panelcd.dgp import (
     generate_panel,
     make_rng,
 )
-from panelcd.panel import ModelKind, validate_dataset
+from panelcd.panel import ModelKind, ModelSpec, fit, validate_dataset
 
 
 def cfg_for(dgp, **kw):
@@ -161,8 +161,6 @@ class TestGenerators:
 
     def test_dgp3_zero_noise_within_residuals_vanish(self):
         # exact homogeneous model: the within transform must fit it perfectly
-        from panelcd.panel import fit_fixed_effects
-
         rng = make_rng(6)
         n, t = 5, 25
         x = np.empty((n, t, 2))
@@ -172,7 +170,7 @@ class TestGenerators:
         y = 1.0 + 2.0 * x[:, :, 1] + mu[:, None]
         from conftest import build_panel
 
-        res = fit_fixed_effects(build_panel(y, x))
+        res = fit(build_panel(y, x), ModelSpec(ModelKind.FIXED_EFFECTS))
         assert np.max(np.abs(res.resid)) < 1e-10
 
     def test_dgp4_fixed_point(self):

@@ -11,9 +11,6 @@ from panelcd.panel import (
     RankDeficientError,
     ResidualMatrix,
     fit,
-    fit_dynamic,
-    fit_fixed_effects,
-    fit_heterogeneous,
     validate_dataset,
     _demeaned_stack,
     _dynamic_designs,
@@ -24,6 +21,7 @@ from panelcd.panel import (
 from conftest import build_panel, random_panel
 
 HET = ModelSpec(ModelKind.HETEROGENEOUS)
+FE = ModelSpec(ModelKind.FIXED_EFFECTS)
 DYN = ModelSpec(ModelKind.DYNAMIC, include_intercept=True)
 
 
@@ -73,7 +71,7 @@ class TestValidate:
 
 class TestFactorOnce:
     @pytest.mark.parametrize(
-        "spec", [HET, DYN, ModelSpec(ModelKind.FIXED_EFFECTS)], ids=lambda s: s.kind.value
+        "spec", [HET, DYN, FE], ids=lambda s: s.kind.value
     )
     def test_fit_reuses_the_validation_factorization(self, rng, monkeypatch, spec):
         panel = random_panel(rng, n=6, t=20, k=2)
@@ -195,19 +193,19 @@ class TestPanelDataset:
 class TestHeterogeneous:
     def test_exact_fit_gives_zero_residuals(self, rng):
         panel = random_panel(rng, n=4, t=12, k=2, noise=0.0)
-        res = fit_heterogeneous(panel)
+        res = fit(panel, HET)
         assert np.max(np.abs(res.resid)) < 1e-10
 
     def test_intercept_only_demeans(self, rng):
         y = rng.standard_normal((3, 10))
         x = np.ones((3, 10, 1))
-        res = fit_heterogeneous(build_panel(y, x))
+        res = fit(build_panel(y, x), HET)
         np.testing.assert_allclose(res.resid, y - y.mean(axis=1, keepdims=True), atol=1e-12)
 
     def test_matches_normal_equations(self, rng):
         # oracle: explicit per-unit solve of X'X b = X'y
         panel = random_panel(rng, n=5, t=20, k=2)
-        res = fit_heterogeneous(panel)
+        res = fit(panel, HET)
         for i in range(panel.n):
             xi, yi = panel.x[i], panel.y[i]
             beta = np.linalg.solve(xi.T @ xi, xi.T @ yi)
@@ -216,7 +214,7 @@ class TestHeterogeneous:
 
     def test_residuals_orthogonal_to_unit_design(self, rng):
         panel = random_panel(rng, n=6, t=25, k=3)
-        res = fit_heterogeneous(panel)
+        res = fit(panel, HET)
         for i in range(panel.n):
             for l in range(panel.k):
                 col = panel.x[i, :, l]
@@ -228,39 +226,39 @@ class TestHeterogeneous:
         x = panel.x.copy()
         x[1, :, 1] = 3.0 * x[1, :, 0]  # second column collinear with intercept
         with pytest.raises(RankDeficientError, match="unit 2"):
-            fit_heterogeneous(build_panel(panel.y.copy(), x))
+            fit(build_panel(panel.y.copy(), x), HET)
 
     def test_location_invariance_with_intercept(self, rng):
         panel = random_panel(rng, n=5, t=20, k=2)
-        res = fit_heterogeneous(panel)
+        res = fit(panel, HET)
         shifts = rng.normal(0.0, 10.0, panel.n)
         shifted = build_panel(panel.y + shifts[:, None], panel.x.copy())
-        res2 = fit_heterogeneous(shifted)
+        res2 = fit(shifted, HET)
         assert np.max(np.abs(res2.resid - res.resid)) <= 1e-9
 
     def test_scale_equivariance(self, rng):
         panel = random_panel(rng, n=5, t=20, k=2)
-        res = fit_heterogeneous(panel)
+        res = fit(panel, HET)
         s = 3.5
         scaled = build_panel(s * panel.y, panel.x.copy())
-        res2 = fit_heterogeneous(scaled)
+        res2 = fit(scaled, HET)
         np.testing.assert_allclose(res2.resid, s * res.resid, rtol=1e-12, atol=1e-12)
 
     def test_permutation_equivariance(self, rng):
         panel = random_panel(rng, n=6, t=20, k=2)
         perm = rng.permutation(panel.n)
         permuted = build_panel(panel.y[perm], panel.x[perm])
-        res = fit_heterogeneous(panel)
-        res2 = fit_heterogeneous(permuted)
+        res = fit(panel, HET)
+        res2 = fit(permuted, HET)
         np.testing.assert_array_equal(res2.resid, res.resid[perm])
 
     def test_bases_are_orthonormal(self, rng):
         panel = random_panel(rng, n=4, t=18, k=3)
-        res = fit_heterogeneous(panel, keep_bases=True)
+        res = fit(panel, HET, keep_bases=True)
         assert res.ortho_bases.shape == (4, 18, 3)
         for q in res.ortho_bases:
             np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
-        assert fit_heterogeneous(panel, keep_bases=False).ortho_bases is None
+        assert fit(panel, HET, keep_bases=False).ortho_bases is None
 
 
 class TestFixedEffects:
@@ -271,7 +269,7 @@ class TestFixedEffects:
         x = np.empty((n, t, 2))
         x[:, :, 0] = 1.0
         x[:, :, 1] = rng.standard_normal((n, t))
-        res = fit_fixed_effects(build_panel(y, x))
+        res = fit(build_panel(y, x), FE)
         assert np.max(np.abs(res.resid)) < 1e-10
 
     def test_recovers_common_slope(self, rng):
@@ -281,14 +279,14 @@ class TestFixedEffects:
         x[:, :, 1] = rng.standard_normal((n, t))
         mu = rng.normal(1, 1, n)
         y = mu[:, None] + 2.0 * x[:, :, 1]
-        res = fit_fixed_effects(build_panel(y, x))
+        res = fit(build_panel(y, x), FE)
         assert res.coef[0] == pytest.approx(2.0, abs=1e-10)
         assert np.max(np.abs(res.resid)) < 1e-9
 
     def test_matches_stacked_demeaned_least_squares(self, rng):
         # oracle: build the demeaned stacks densely and run one lstsq
         panel = random_panel(rng, n=4, t=15, k=2)
-        res = fit_fixed_effects(panel)
+        res = fit(panel, FE)
         xd = panel.x[:, :, 1:] - panel.x[:, :, 1:].mean(axis=1, keepdims=True)
         yd = panel.y - panel.y.mean(axis=1, keepdims=True)
         stack_x = xd.reshape(-1, 1)
@@ -299,13 +297,13 @@ class TestFixedEffects:
 
     def test_unit_residuals_sum_to_zero(self, rng):
         panel = random_panel(rng, n=6, t=20, k=3)
-        res = fit_fixed_effects(panel)
+        res = fit(panel, FE)
         scale = np.abs(res.resid).sum(axis=1)
         assert np.max(np.abs(res.resid.sum(axis=1)) / scale) < 1e-10
 
     def test_aggregate_orthogonality(self, rng):
         panel = random_panel(rng, n=6, t=20, k=3)
-        res = fit_fixed_effects(panel)
+        res = fit(panel, FE)
         xd = panel.x[:, :, 1:] - panel.x[:, :, 1:].mean(axis=1, keepdims=True)
         for l in range(xd.shape[2]):
             col = xd[:, :, l].ravel()
@@ -314,13 +312,13 @@ class TestFixedEffects:
 
     def test_intercept_only_demeans(self, rng):
         y = rng.standard_normal((3, 10))
-        res = fit_fixed_effects(build_panel(y, np.ones((3, 10, 1))))
+        res = fit(build_panel(y, np.ones((3, 10, 1))), FE)
         assert res.k_eff == 0
         np.testing.assert_allclose(res.resid, y - y.mean(axis=1, keepdims=True), atol=1e-15)
 
     def test_k_eff_drops_intercept(self, rng):
         panel = random_panel(rng, n=4, t=15, k=3)
-        res = fit_fixed_effects(panel)
+        res = fit(panel, FE)
         assert res.k_eff == 2
         assert res.ortho_bases is None
 
@@ -332,7 +330,7 @@ class TestDynamic:
         x[:, :, 0] = 1.0
         x[:, :, 1] = rng.standard_normal((n, t))
         y = 1.5 + 0.8 * x[:, :, 1]
-        res = fit_dynamic(build_panel(y, x), ModelSpec(ModelKind.DYNAMIC))
+        res = fit(build_panel(y, x), ModelSpec(ModelKind.DYNAMIC))
         assert np.max(np.abs(res.coef[:, 0])) < 1e-8
         assert np.max(np.abs(res.resid)) < 1e-8
 
@@ -344,7 +342,7 @@ class TestDynamic:
         for s in range(1, t):
             y[:, s] = 0.5 * y[:, s - 1]
         panel = build_panel(y, np.empty((3, t, 0)), has_intercept=False)
-        res = fit_dynamic(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
+        res = fit(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
         np.testing.assert_allclose(res.coef[:, 0], 0.5, atol=1e-10)
         assert res.t_eff == t - 1
         assert res.k_eff == 2
@@ -362,7 +360,7 @@ class TestDynamic:
             prev = y[:, s]
         y = y[:, 51:]
         panel = build_panel(y, np.empty((n, t, 0)), has_intercept=False)
-        res = fit_dynamic(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
+        res = fit(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
         for i in range(n):
             z = np.column_stack([y[i, :-1], np.ones(t - 1)])
             coef = np.linalg.solve(z.T @ z, z.T @ y[i, 1:])
@@ -376,19 +374,19 @@ class TestDynamic:
             y[:, s] = 1.2 * y[:, s - 1] + 0.01 * rng.standard_normal(3)
         panel = build_panel(y, np.empty((3, t, 0)), has_intercept=False)
         with pytest.warns(NearUnitRootWarning):
-            res = fit_dynamic(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
+            res = fit(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
         assert np.all(np.abs(res.coef[:, 0] - 1.2) < 0.05)
 
     def test_equivalent_to_manual_lag_heterogeneous_fit(self, rng):
         panel = random_panel(rng, n=5, t=20, k=2)
-        res_dyn = fit_dynamic(panel, ModelSpec(ModelKind.DYNAMIC))
+        res_dyn = fit(panel, ModelSpec(ModelKind.DYNAMIC))
         lag = panel.y[:, :-1]
         x_manual = np.concatenate([lag[:, :, None], panel.x[:, 1:, :]], axis=2)
         manual = build_panel(panel.y[:, 1:], x_manual, has_intercept=False)
-        res_het = fit_heterogeneous(manual)
+        res_het = fit(manual, HET)
         assert np.max(np.abs(res_dyn.resid - res_het.resid)) <= 1e-12
 
     def test_too_short_panel_raises(self, rng):
         panel = random_panel(rng, n=4, t=4, k=2)
         with pytest.raises(PanelError, match="k\\+3"):
-            fit_dynamic(panel, ModelSpec(ModelKind.DYNAMIC))
+            fit(panel, ModelSpec(ModelKind.DYNAMIC))

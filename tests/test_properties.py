@@ -1,17 +1,25 @@
-"""Property tests over the fit -> correlation -> statistics pipeline.
+"""Property tests over the CSV -> fit -> correlation -> statistics pipeline.
 
-Hypothesis draws the panel's shape, model, regressor and response scales,
-lag strength and seed; numpy draws the cells from that seed. Example
-counts are bounded so the module runs in a few seconds.
+For the statistics, hypothesis draws the panel's shape, model, regressor
+and response scales, lag strength and seed; numpy draws the cells from that
+seed. For the CSV round trip, hypothesis draws every cell itself, from all
+finite doubles. Example counts are bounded so the module runs in a few
+seconds.
 """
 
+import io
 import math
+import random
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panelcd.cd_stats import TestConfig as Config, run_all
+from panelcd.cli import dump_panel_csv, load_panel_csv
 from panelcd.correlation import correlation_matrix
 from panelcd.panel import ModelKind, ModelSpec, NearUnitRootWarning, fit
 
@@ -79,3 +87,49 @@ def test_per_unit_rescaling_of_y_leaves_rho_unchanged(case, data):
     rescaled = build_panel(c[:, None] * panel.y, panel.x)
     rho = correlation_matrix(_fit(panel, spec)).rho
     np.testing.assert_allclose(correlation_matrix(_fit(rescaled, spec)).rho, rho, rtol=0, atol=1e-10)
+
+
+@st.composite
+def raw_panels(draw):
+    """A panel whose y and regressor cells are arbitrary finite doubles,
+    subnormals, signed zeros and +-1.8e308 included, with or without an
+    intercept column."""
+    n, t, k_raw = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    doubles = st.floats(allow_nan=False, allow_infinity=False)
+    y = draw(arrays(np.float64, (n, t), elements=doubles))
+    intercept = k_raw == 0 or draw(st.booleans())
+    x = np.ones((n, t, int(intercept) + k_raw))
+    x[:, :, int(intercept):] = draw(arrays(np.float64, (n, t, k_raw), elements=doubles))
+    return build_panel(y, x, has_intercept=intercept)
+
+
+def _load_text(text, add_intercept):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        path.write_text(text, encoding="utf-8")
+        return load_panel_csv(str(path), add_intercept=add_intercept)
+
+
+def _assert_same_panel(loaded, panel):
+    assert loaded.unit_ids == panel.unit_ids and loaded.time_ids == panel.time_ids
+    assert loaded.has_intercept == panel.has_intercept
+    assert loaded.y.tobytes() == panel.y.tobytes()
+    assert loaded.x.shape == panel.x.shape and loaded.x.tobytes() == panel.x.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(panel=raw_panels())
+def test_csv_round_trip_is_bit_for_bit(panel):
+    out = io.StringIO()
+    dump_panel_csv(panel, out)
+    _assert_same_panel(_load_text(out.getvalue(), panel.has_intercept), panel)
+
+
+@PROPERTY_SETTINGS
+@given(panel=raw_panels(), seed=st.integers(0, 2**32 - 1))
+def test_shuffled_csv_rows_give_the_same_panel(panel, seed):
+    out = io.StringIO()
+    dump_panel_csv(panel, out)
+    header, *rows = out.getvalue().splitlines(keepends=True)
+    random.Random(seed).shuffle(rows)
+    _assert_same_panel(_load_text(header + "".join(rows), panel.has_intercept), panel)
