@@ -37,7 +37,16 @@ Z_05 = 1.6448536269514722
 
 def _moments(bases, t, k, overlap_free):
     if not overlap_free:
-        return projection_moment_grids(bases, t, k)
+        # the full (n, n) grids, each unordered pair mirrored from its tile
+        mu, sigma = np.empty((N, N)), np.empty((N, N))
+        for rows, cols, *tiles in projection_moment_grids(bases, t, k):
+            for out, tile in zip((mu, sigma), tiles):
+                if rows == cols:
+                    lower = np.tril_indices(len(tile), -1)
+                    tile[lower] = tile.T[lower]
+                out[rows, cols] = tile
+                out[cols, rows] = tile.T
+        return mu, sigma
     a1, a2 = moment_weights(t, k)
     tr = t - 2 * k
     return tr / (t - k), np.sqrt(tr * tr * a1 + 2.0 * tr * a2)

@@ -336,8 +336,12 @@ def lm_adj_stat(
 
     Each squared correlation is centred and scaled by the exact moments
     implied by the pair of unit designs, then summed over all ordered
-    pairs i != j (each unordered pair contributes twice; the terms are
-    symmetric).
+    pairs i != j. The terms are symmetric, so each unordered pair is taken
+    once and counted twice. The pairs come in the square tiles of
+    :func:`projection_moment_grids`, each tile's correlations read through
+    ``corr.block`` and reduced to a running sum as it comes. Working memory
+    is O(nTk) plus fixed-size tiles: no n x n array of moments or terms is
+    formed, nor of correlations when ``corr`` keeps its unit-norm rows.
 
     Parameters
     ----------
@@ -354,10 +358,13 @@ def lm_adj_stat(
     if t_eff - k_eff < 2:
         raise TestComputationError(f"LM_adj needs T > k+1, got T={t_eff}, k={k_eff}")
     n = corr.n
-    mu, sigma = projection_moment_grids(bases, t_eff, k_eff)
-    z = ((t_eff - k_eff) * corr.rho**2 - mu) / sigma
-    off = ~np.eye(n, dtype=bool)
-    stat = np.sqrt(1.0 / (2.0 * n * (n - 1))) * float(z[off].sum())
+    total = 0.0  # over unordered pairs i < j
+    for rows, cols, mu, sigma in projection_moment_grids(bases, t_eff, k_eff):
+        z = ((t_eff - k_eff) * corr.block(rows, cols) ** 2 - mu) / sigma
+        if rows == cols:
+            z = z[np.triu_indices(len(z), 1)]
+        total += float(z.sum())
+    stat = np.sqrt(1.0 / (2.0 * n * (n - 1))) * (2.0 * total)
     return _normal_result("LM_adj", stat, "upper", alpha)
 
 

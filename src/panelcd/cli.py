@@ -21,6 +21,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 from decimal import Decimal
 from typing import Optional, Sequence, Union
 
@@ -30,7 +31,15 @@ from . import __version__
 from .cd_stats import ALL_TESTS, TestConfig, TestResult, run_all
 from .dgp import Alternative, DgpConfig, ErrorDist, generate_panel, make_rng
 from .mc import ExperimentPlan, RejectionReport, run_experiment
-from .panel import ModelKind, ModelSpec, PanelDataset, PanelError, fit, validate_dataset
+from .panel import (
+    ModelKind,
+    ModelSpec,
+    NearUnitRootWarning,
+    PanelDataset,
+    PanelError,
+    fit,
+    validate_dataset,
+)
 
 
 class CsvError(Exception):
@@ -215,6 +224,40 @@ def _first_non_numeric(cells) -> int:
             return r
 
 
+# Records converted at a time: no cell's string outlives its chunk, so the
+# loader holds the panel's numbers, two label indices per record and one
+# chunk of strings.
+CSV_CHUNK_ROWS = 8192
+
+
+def _convert_chunk(flat: list, width: int, label_index: tuple):
+    """One chunk of records, given as their cells in one flat list, as numbers.
+
+    Returns the chunk's y, x1..xk values (m, width - 2), its unit and time
+    label indices (m,) each, and the (record in chunk, column, cell) of its
+    earliest non-numeric cell, or None. A label not yet in its
+    ``label_index`` dict takes the next index.
+    """
+    m = len(flat) // width
+    values = np.empty((m, width - 2))
+    bad = None
+    for c in range(2, width):
+        cells = flat[c::width]
+        try:
+            values[:, c - 2] = np.fromiter(map(float, cells), dtype=np.float64, count=m)
+        except ValueError:
+            r = _first_non_numeric(cells)
+            if bad is None or r < bad[0]:
+                bad = (r, c, cells[r])
+    indices = []
+    for c, index in enumerate(label_index):
+        labels = list(map(str.strip, flat[c::width]))
+        for label in dict.fromkeys(labels):
+            index.setdefault(label, len(index))
+        indices.append(np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=m))
+    return values, indices, bad
+
+
 def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
     """Read a balanced long-format panel CSV into a PanelDataset.
 
@@ -226,10 +269,23 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
     file has several faults, the one on the earliest line is reported; a
     line number is the record index + 2, blank rows included.
 
+    The records are converted in chunks of ``CSV_CHUNK_ROWS``: numbers into
+    float64 blocks, labels into indices in first-seen order, which are
+    remapped to sorted order after the last chunk. Working memory is O(nT):
+    the panel's numbers and two label indices per record, plus one chunk of
+    strings, never one string per cell of the file.
+
     Raises
     ------
     CsvParseError, NonNumericError, UnbalancedPanelError
     """
+    label_index = ({}, {})  # unit and time label -> index, in first-seen order
+    label_cols = ([], [])  # per chunk, each record's unit and time index
+    blocks = []  # per chunk, each record's y, x1..xk
+    blank_lines: list = []
+    non_numeric = None  # (record, column, cell) of the earliest non-numeric cell
+    bad_width = None
+    rows = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -243,28 +299,40 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
             raise CsvParseError(1, f"header must start with unit,time,y; got {','.join(header)}")
         width = len(header)
 
-        # every record's cells go into one flat list of strings, read back by
-        # column: no per-row container outlives its line
-        flat: list = []
-        blank_lines: list = []
-        bad_width = None
+        records = enumerate(reader, start=2)
         lineno = 1
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    if not row or (len(row) == 1 and not row[0].strip()):
-                        blank_lines.append(lineno)
-                        continue
-                    # rows after this one are never read; an earlier fault still wins
-                    bad_width = CsvParseError(lineno, f"expected {width} fields, got {len(row)}")
-                    break
-                flat.extend(row)
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise CsvParseError(lineno + 1, str(exc)) from None
+        flat: list = []  # the cells of one chunk of records
+        done = False
+        while not done:
+            try:
+                for lineno, row in records:
+                    if len(row) != width:
+                        if not row or (len(row) == 1 and not row[0].strip()):
+                            blank_lines.append(lineno)
+                            continue
+                        # rows after this one are never read; an earlier fault still wins
+                        bad_width = CsvParseError(lineno, f"expected {width} fields, got {len(row)}")
+                        done = True
+                        break
+                    flat.extend(row)
+                    if len(flat) == CSV_CHUNK_ROWS * width:
+                        break
+                else:
+                    done = True
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise CsvParseError(lineno + 1, str(exc)) from None
+            if flat:
+                values, indices, bad = _convert_chunk(flat, width, label_index)
+                flat.clear()
+                if bad is not None and non_numeric is None:
+                    non_numeric = (rows + bad[0],) + bad[1:]
+                blocks.append(values)
+                for col, index in zip(label_cols, indices):
+                    col.append(index)
+                rows += len(values)
 
-    if not flat:
+    if not rows:
         raise bad_width or CsvParseError(2, "no data rows")
-    rows = len(flat) // width
 
     def line_of(record: int) -> int:
         line = record + 2
@@ -274,37 +342,32 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
             line += 1
         return line
 
-    values = np.empty((rows, width - 2))  # y, x1..xk of each record
     faults = []  # (record, column, error); a record's duplicate check runs last
-    for c in range(2, width):
-        cells = flat[c::width]
-        try:
-            values[:, c - 2] = np.fromiter(map(float, cells), dtype=np.float64, count=rows)
-        except ValueError:
-            r = _first_non_numeric(cells)
-            faults.append((r, c, NonNumericError(line_of(r), header[c], cells[r])))
-
-    unit_col = list(map(str.strip, flat[0::width]))
-    time_col = list(map(str.strip, flat[1::width]))
-    units = list(dict.fromkeys(unit_col))
-    times = list(dict.fromkeys(time_col))
-    for c, (kind, col, labels) in enumerate((("unit", unit_col, units), ("time", time_col, times))):
-        clash = _numeric_clash(labels)
+    if non_numeric is not None:
+        r, c, value = non_numeric
+        faults.append((r, c, NonNumericError(line_of(r), header[c], value)))
+    labels, cols = [], []
+    for c, kind in enumerate(("unit", "time")):
+        first_seen = list(label_index[c])
+        col = np.concatenate(label_cols[c])
+        clash = _numeric_clash(first_seen)
         if clash is not None:
-            r = col.index(clash[1])
+            r = int(np.argmax(col == label_index[c][clash[1]]))
             detail = f"{kind} label {clash[1]!r} equals {clash[0]!r} as a number"
             faults.append((r, c, CsvParseError(line_of(r), detail)))
-        labels.sort(key=_label_key)
+        order = sorted(range(len(first_seen)), key=lambda i: _label_key(first_seen[i]))
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        labels.append([first_seen[i] for i in order])
+        cols.append(rank[col])
+    units, times = labels
     n, t = len(units), len(times)
-    unit_index = {u: i for i, u in enumerate(units)}
-    time_index = {s: i for i, s in enumerate(times)}
-    cell = np.fromiter(map(unit_index.__getitem__, unit_col), dtype=np.intp, count=rows) * t
-    cell += np.fromiter(map(time_index.__getitem__, time_col), dtype=np.intp, count=rows)
+    cell = cols[0] * t + cols[1]
     counts = np.bincount(cell, minlength=n * t)
     if counts.max() > 1:
         order = np.argsort(cell, kind="stable")
         r = int(order[1:][cell[order[1:]] == cell[order[:-1]]].min())
-        detail = f"duplicate observation for unit {unit_col[r]}, time {time_col[r]}"
+        detail = f"duplicate observation for unit {units[cols[0][r]]}, time {times[cols[1][r]]}"
         faults.append((r, width, CsvParseError(line_of(r), detail)))
     if faults:
         raise min(faults, key=lambda f: f[:2])[2]
@@ -322,8 +385,11 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
             )
         raise UnbalancedPanelError("unbalanced panel: " + "; ".join(problems))
 
-    placed = np.empty_like(values)
-    placed[cell] = values
+    placed = np.empty((rows, width - 2))
+    start = 0
+    for block in blocks:
+        placed[cell[start : start + len(block)]] = block
+        start += len(block)
     k_raw, base = width - 3, 1 if add_intercept else 0
     x = np.empty((n, t, base + k_raw))
     x[:, :, :base] = 1.0
@@ -456,7 +522,14 @@ def _cmd_test(args) -> int:
         for v in report.violations:
             print(f"panelcd: invalid panel: {v}", file=sys.stderr)
         return 1
-    resid = fit(panel, spec, keep_bases="LM_adj" in args.test_names)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NearUnitRootWarning)
+        resid = fit(panel, spec, keep_bases="LM_adj" in args.test_names)
+    for w in caught:
+        if issubclass(w.category, NearUnitRootWarning):
+            print(f"panelcd: warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     results = run_all(resid, TestConfig(alpha=args.alpha, tests=args.test_names))
     _write(
         emit_report(results, args.format, t_eff=resid.t_eff, n=resid.n, alpha=args.alpha),

@@ -12,9 +12,11 @@ sum of its off-diagonal entries, and V V' (n x n) and V'V (T x T) share
 their nonzero eigenvalues. So ``trace_stats`` works on the Gram matrix of
 the smaller side: G = V'V when n > T, with tr(R^2) = ||G||_F^2,
 tr(R^4) = ||G^2||_F^2 and the off-diagonal sum ||sum_i v_i||^2 - n, which
-agree with the formulas on R to rounding; G = R itself when n <= T. The
-n x n matrix is formed only when read, which LM_adj and the n <= T traces
-do.
+agree with the formulas on R to rounding; G = R itself when n <= T.
+LM_adj reads R one tile at a time through ``CorrelationMatrix.block``. So
+working memory is O(nT) plus fixed-size tiles, and no n x n array is
+formed when n > T; the full R is formed only when ``rho`` is read, which
+the n <= T traces do.
 
 The projection-moment helpers reduce all trace computations to k x k
 algebra: with M_i = I - Q_i Q_i' and C = Q_i' Q_j,
@@ -23,10 +25,10 @@ algebra: with M_i = I - Q_i Q_i' and C = Q_i' Q_j,
     tr((M_i M_j)^2) = T - 2k + tr((C'C)^2)
 
 which turns the O(T^3) dense products into O(T k^2) per pair. The grid
-version works through square tiles of unit pairs, ``GRID_BLOCK`` units a
-side, and sums each pair's k x k terms in a fixed order. It computes each
-unordered pair once and mirrors it, so the two triangles of a grid are
-equal bit for bit; it agrees with the per-pair helper to rounding.
+version yields square tiles of unit pairs, ``GRID_BLOCK`` units a side, on
+and above the diagonal, and sums each pair's k x k terms in a fixed order;
+it agrees with the per-pair helper to rounding. Callers reduce each tile as
+it comes, so the n x n moment grids are never held.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ ORTHONORMAL_TOL = 1e-8
 # on the calling thread up to T of about 128: the grid then neither waits for
 # BLAS worker threads nor leaves them spinning through its elementwise steps,
 # either of which makes its time depend on what else the machine runs.
-# Working memory is about 2 k^2 GRID_BLOCK^2 doubles besides the outputs.
+# Working memory is about 2 k^2 GRID_BLOCK^2 doubles per tile.
 GRID_BLOCK = 64
 
 
@@ -73,9 +75,9 @@ class CorrelationMatrix:
 
     :func:`correlation_matrix` keeps the unit-norm residual rows V (``rows``,
     n x T) with R = V V' and forms ``rho`` only when it is first read, so
-    when n > T statistics that need only traces never hold an n x n array.
-    Constructed from an explicit matrix, it keeps a read-only copy of that
-    matrix and ``rows`` is None.
+    when n > T the statistics, which read traces or tiles from ``block``,
+    never hold an n x n array. Constructed from an explicit matrix, it
+    keeps a read-only copy of that matrix and ``rows`` is None.
     """
 
     def __init__(self, rho: np.ndarray):
@@ -104,6 +106,14 @@ class CorrelationMatrix:
     @property
     def n(self) -> int:
         return (self._rho if self.rows is None else self.rows).shape[0]
+
+    def block(self, rs: slice, cs: slice) -> np.ndarray:
+        """The tile R[rs, cs]: V[rs] V[cs]' from the kept rows, else a slice
+        of the explicit matrix. Formed from rows, a tile on the diagonal of R
+        has a diagonal only near 1 and may be asymmetric by rounding."""
+        if self.rows is None:
+            return self._rho[rs, cs]
+        return self.rows[rs] @ self.rows[cs].T
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -240,27 +250,30 @@ def projection_pair_moments(
 
 
 def projection_moment_grids(bases: np.ndarray, t: int, k: int):
-    """Pairwise moment grids (mu, sigma) for all n units at once.
+    """Pairwise moments (mu, sigma) of all n units, one tile at a time.
 
-    ``bases`` has shape (n, T, k). Returns two exactly symmetric (n, n)
-    arrays whose diagonals are filled but meaningless (callers mask i == j).
+    ``bases`` has shape (n, T, k). Yields (rows, cols, mu, sigma) for square
+    tiles of ``GRID_BLOCK`` units a side on and above the diagonal, row
+    tiles in order and column tiles from the diagonal out; ``mu`` and
+    ``sigma`` are (len(rows), len(cols)) arrays over pairs (i in rows,
+    j in cols). Every unordered pair i < j lies in exactly one tile, and on
+    a diagonal tile (rows == cols) in its strict upper triangle: the lower
+    triangle repeats those pairs, to rounding, and the diagonal is
+    meaningless.
 
-    Pairs (i, j) are taken in square tiles of ``GRID_BLOCK`` units a side
-    on and above the diagonal, so only the upper triangle is computed. One
-    batched product gives a tile's k^2 slabs G_ab = Q[i, :, a] @ Q[j, :, b]',
-    which hold every entry of C = Q_i'Q_j, and with D_ab = sum_c G_ac G_bc
+    One batched product gives a tile's k^2 slabs
+    G_ab = Q[i, :, a] @ Q[j, :, b]', which hold every entry of C = Q_i'Q_j,
+    and with D_ab = sum_c G_ac G_bc
 
         tr(M_i M_j)     = T - 2k + sum_ab G_ab^2
         tr((M_i M_j)^2) = T - 2k + sum_ab D_ab^2.
 
-    Each tile is mirrored into the lower triangle as it is written, so
-    working memory beyond the outputs is O(k^2 * GRID_BLOCK^2).
+    Working memory beyond one column-major copy of ``bases`` is
+    O(k^2 * GRID_BLOCK^2).
     """
     n = bases.shape[0]
     q = np.ascontiguousarray(np.transpose(bases, (2, 0, 1)))  # q[a]: column a of every unit
     a1, a2 = moment_weights(t, k)
-    mu = np.empty((n, n))
-    sigma = np.empty((n, n))
     for r0 in range(0, n, GRID_BLOCK):
         rows = slice(r0, min(r0 + GRID_BLOCK, n))
         for c0 in range(r0, n, GRID_BLOCK):
@@ -270,11 +283,4 @@ def projection_moment_grids(bases: np.ndarray, t: int, k: int):
             d = np.einsum("acij,bcij->abij", g, g)
             tr_mm2 = t - 2.0 * k + np.einsum("abij,abij->ij", d, d)
             var = tr_mm * tr_mm * a1 + 2.0 * tr_mm2 * a2
-            for out, tile in ((mu, tr_mm / (t - k)), (sigma, np.sqrt(var))):
-                if c0 == r0:
-                    # a diagonal tile holds (i, j) and (j, i): keep its upper triangle
-                    lower = np.tril_indices(len(tile), -1)
-                    tile[lower] = tile.T[lower]
-                out[rows, cols] = tile
-                out[cols, rows] = tile.T
-    return mu, sigma
+            yield rows, cols, tr_mm / (t - k), np.sqrt(var)

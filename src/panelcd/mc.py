@@ -158,11 +158,43 @@ def _run_task(plan: ExperimentPlan, task) -> RepOutcome:
     return run_replication(plan.cells[cell_index], plan.tests, plan.alpha, rng)
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: run this worker's OpenBLAS on one thread.
+
+    A forked worker keeps the parent's BLAS thread count, so two workers on
+    two cores would run four BLAS threads between them. The library is the
+    one numpy mapped into the process (found in ``/proc/self/maps``); where
+    there is none, or it has no set-threads symbol, this does nothing.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in (
+            "scipy_openblas_set_num_threads64_",
+            "openblas_set_num_threads64_",
+            "openblas_set_num_threads",
+        ):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                return
+
+
 def run_experiment(plan: ExperimentPlan) -> RejectionReport:
     """Run the full replication grid and aggregate rejection frequencies.
 
     Aggregation iterates tasks in (cell, replication) index order, so the
-    report does not depend on the worker count.
+    report does not depend on the worker count. Each pool worker runs BLAS
+    on one thread, so the workers share the cores instead of
+    oversubscribing them; the calling process keeps its own setting.
     """
     start = time.perf_counter()
     tasks = [(ci, ri) for ci in range(len(plan.cells)) for ri in range(plan.reps)]
@@ -171,7 +203,7 @@ def run_experiment(plan: ExperimentPlan) -> RejectionReport:
         from functools import partial
 
         chunk = max(1, len(tasks) // (plan.workers * 8))
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        with ProcessPoolExecutor(max_workers=plan.workers, initializer=_one_blas_thread) as pool:
             outcomes = list(pool.map(partial(_run_task, plan), tasks, chunksize=chunk))
     else:
         outcomes = [_run_task(plan, task) for task in tasks]

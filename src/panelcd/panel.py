@@ -180,7 +180,8 @@ def _rule_breaks(data: PanelDataset, spec: ModelSpec) -> list:
     """The estimator's rules that ``data`` breaks, as the errors ``fit`` raises.
 
     - Size rule: the lag takes one period, so min T = k + 2 + lag and
-      T_eff = T - lag.
+      T_eff = T - lag, with k counting the constant a dynamic fit appends.
+      Every fit then keeps at least one residual degree of freedom.
     - A heterogeneous fit needs at least one regressor column.
     - Rank test: every design of the factored stack has smallest/largest
       singular value at least ``RANK_TOL``. It runs whenever the stack holds
@@ -188,10 +189,12 @@ def _rule_breaks(data: PanelDataset, spec: ModelSpec) -> list:
       lists every problem at once.
     """
     lag = 1 if spec.kind is ModelKind.DYNAMIC else 0
+    appended = bool(lag) and spec.include_intercept and not data.has_intercept
     breaks = []
-    if data.t < data.k + 2 + lag:
+    if data.t < data.k + appended + 2 + lag:
         rule = "T < k+3 (dynamic)" if lag else "T < k+2"
-        breaks.append(PanelError(f"{rule}: T={data.t}, k={data.k}"))
+        k = f"{data.k + 1} with the appended constant" if appended else data.k
+        breaks.append(PanelError(f"{rule}: T={data.t}, k={k}"))
     if spec.kind is ModelKind.HETEROGENEOUS and data.k == 0:
         breaks.append(PanelError("heterogeneous model needs at least one regressor column (k=0)"))
     elif data.t > lag:
@@ -348,7 +351,8 @@ def fit(data: PanelDataset, spec: ModelSpec, keep_bases: bool = True) -> Residua
     moment-adjusted LM test needs; the pooled within fit has none.
 
     Raises :class:`PanelError` when the panel breaks the size rule
-    (T >= k+2, or k+3 for a dynamic fit) or a heterogeneous panel has no
+    (T >= k+2, or k+3 for a dynamic fit, whose k counts an appended
+    constant) or a heterogeneous panel has no
     regressor column, and :class:`RankDeficientError` when some design's
     smallest/largest singular value is below ``RANK_TOL``, naming the first
     such unit or ``pooled``. Warns with :class:`NearUnitRootWarning`

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from panelcd.correlation import projection_moment_grids
 from panelcd.panel import PanelDataset
 
 
@@ -13,6 +14,24 @@ def build_panel(y, x, has_intercept=True):
         time_ids=tuple(str(s + 1) for s in range(t)),
         has_intercept=has_intercept,
     )
+
+
+def moment_grids(bases, t, k):
+    """Full (n, n) mu and sigma grids assembled from the moment tiles.
+
+    Each unordered pair is taken from the one tile that holds it and
+    mirrored, so both grids are symmetric bit for bit.
+    """
+    n = bases.shape[0]
+    mu, sigma = np.empty((n, n)), np.empty((n, n))
+    for rows, cols, *tiles in projection_moment_grids(bases, t, k):
+        for out, tile in zip((mu, sigma), tiles):
+            if rows == cols:
+                lower = np.tril_indices(len(tile), -1)
+                tile[lower] = tile.T[lower]
+            out[rows, cols] = tile
+            out[cols, rows] = tile.T
+    return mu, sigma
 
 
 def random_panel(rng, n=5, t=20, k=2, noise=1.0):

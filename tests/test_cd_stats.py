@@ -28,7 +28,7 @@ Config = cd.TestConfig
 from panelcd.correlation import CorrelationMatrix, TraceStats, correlation_matrix, trace_stats
 from panelcd.panel import ModelKind, ModelSpec, NearUnitRootWarning, ResidualMatrix, fit
 
-from conftest import build_panel, random_panel
+from conftest import random_panel
 
 
 def stats_for(rho_matrix, t_eff):
@@ -345,17 +345,19 @@ class TestRunAll:
 
     @pytest.mark.parametrize("dof", [1, 0])
     def test_lm_adj_fails_without_warnings_below_two_residual_degrees_of_freedom(self, rng, dof):
-        # dynamic fits at T = k+3: at one degree of freedom the exact variance
-        # is 0; at none (a constant appended to a panel without one) the
-        # moment weights divide by T - k
-        if dof:
-            panel = random_panel(rng, n=5, t=4, k=1)
-        else:
-            panel = build_panel(1e8 * rng.standard_normal((4, 3)), np.empty((4, 3, 0)), False)
+        # at one degree of freedom (a dynamic fit at T = k+3) the exact
+        # variance is 0; at none the moment weights divide by T - k. No fit
+        # leaves none, so those residuals are made by hand
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NearUnitRootWarning)
             warnings.simplefilter("error", RuntimeWarning)
-            resid = fit(panel, ModelSpec(ModelKind.DYNAMIC))
+            if dof:
+                resid = fit(random_panel(rng, n=5, t=4, k=1), ModelSpec(ModelKind.DYNAMIC))
+            else:
+                resid = ResidualMatrix(
+                    resid=rng.standard_normal((4, 2)), t_eff=2, k_eff=2,
+                    estimator=ModelSpec(ModelKind.DYNAMIC), ortho_bases=np.stack([np.eye(2)] * 4),
+                )
             results = {r.name: r for r in run_all(resid, Config())}
         assert resid.t_eff - resid.k_eff == dof
         assert results["LM_adj"].status == "failed"
@@ -398,6 +400,33 @@ class TestRunAll:
         finally:
             tracemalloc.stop()
         assert all(r.status == "ok" for r in results)
+        assert peak < n * n * 8
+
+    def test_lm_adj_leaves_rho_unformed_when_n_exceeds_t(self, rng, monkeypatch):
+        resid = fit(random_panel(rng, n=200, t=30, k=3), ModelSpec(ModelKind.HETEROGENEOUS))
+        made = []
+
+        def spy(r):
+            made.append(correlation_matrix(r))
+            return made[-1]
+
+        monkeypatch.setattr(cd, "correlation_matrix", spy)
+        assert all(r.status == "ok" for r in run_all(resid, Config()))
+        (corr,) = made
+        assert corr._rho is None
+
+    def test_lm_adj_working_memory_is_below_n_squared(self, rng):
+        # the parent's full grids held mu, sigma, rho and z: several n^2 arrays
+        n, t = 600, 50
+        resid = fit(random_panel(rng, n=n, t=t, k=3), ModelSpec(ModelKind.HETEROGENEOUS))
+        corr = correlation_matrix(resid)
+        tracemalloc.start()
+        try:
+            res = lm_adj_stat(corr, resid.ortho_bases, resid.t_eff, resid.k_eff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(res.statistic)
         assert peak < n * n * 8
 
     def test_degenerate_input_yields_failure_entries(self, rng):

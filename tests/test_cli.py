@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from panelcd.cli import (
 from panelcd import cd_stats
 from panelcd.correlation import GRID_BLOCK
 from panelcd.dgp import DgpConfig, generate_panel, make_rng
-from panelcd.panel import ModelKind, ModelSpec, fit
+from panelcd.panel import ModelKind, ModelSpec, NearUnitRootWarning, fit
 
 
 class TestParseArgs:
@@ -250,6 +251,21 @@ class TestEndToEnd:
             assert f"T_eff={30 - consumed}" in out
             if model == "fixed":
                 assert "unsupported" in out
+
+    def test_near_unit_root_notice_is_a_cli_warning(self, tmp_path, capsys):
+        data = tmp_path / "p.csv"
+        # unit 5 explodes; the others have lag coefficients of -0.75 to -0.49
+        series = ((0.5, -0.2, 0.1, 0.4), (2.0, 1.0, 1.5, 1.2), (0.0, 1.0, -1.0, 0.5),
+                  (3.0, 1.0, 2.0, 0.0), (1.0, 2.0, 4.1, 8.3))
+        rows = [f"{i},{s},{y}" for i, ys in enumerate(series, 1) for s, y in enumerate(ys, 1)]
+        data.write_text("unit,time,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NearUnitRootWarning)
+            code = main(["test", "--data", str(data), "--model", "dynamic", "--tests", "rlm"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "panelcd: warning: |lag coefficient| > 0.999 for 1 unit(s): 5\n"
+        assert "RLM" in captured.out
 
     def test_missing_file_is_runtime_error(self, capsys):
         assert main(["test", "--data", "/nonexistent/p.csv"]) == 1

@@ -16,6 +16,8 @@ from panelcd.correlation import (
     trace_stats,
 )
 
+from conftest import moment_grids
+
 
 def corr_loop_oracle(v):
     """Direct double loop over the raw-sum correlation definition."""
@@ -201,7 +203,7 @@ class TestProjectionMoments:
         # one block, and several blocks with a ragged last one
         for n, k in itertools.product((5, 2 * GRID_BLOCK + 3), (1, 2, 3)):
             bases = np.stack([random_basis(rng, t, k) for _ in range(n)])
-            mu, sigma = projection_moment_grids(bases, t, k)
+            mu, sigma = moment_grids(bases, t, k)
             assert np.array_equal(mu, mu.T) and np.array_equal(sigma, sigma.T)
             # every unit on a block edge, plus a few inside the blocks
             edges = {0, n - 1} | {e + d for e in range(GRID_BLOCK, n, GRID_BLOCK) for d in (-1, 0)}
@@ -212,17 +214,19 @@ class TestProjectionMoments:
                 assert sigma[i, j] == pytest.approx(pm.sigma, rel=1e-12)
 
     def test_grid_working_memory_is_blocked(self, rng):
-        # the two (n, n) outputs are 2 n^2 doubles; an (n, n, k, k) layout
-        # needs about 24 n^2 at k = 3
+        # an (n, n, k, k) layout needs about 24 n^2 doubles at k = 3; the
+        # tiles need a copy of the bases (nTk) and O(k^2 GRID_BLOCK^2)
         n, t, k = 400, 100, 3
         bases = np.linalg.svd(rng.standard_normal((n, t, k)), full_matrices=False)[0]
         tracemalloc.start()
         try:
-            projection_moment_grids(bases, t, k)
+            tiles = sum(1 for _ in projection_moment_grids(bases, t, k))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * n * n * 8
+        blocks = -(-n // GRID_BLOCK)
+        assert tiles == blocks * (blocks + 1) // 2
+        assert peak <= (n * t * k + 6 * k * k * GRID_BLOCK**2) * 8
 
     def test_moments_match_monte_carlo_for_distinct_designs(self):
         # two fixed designs sharing the intercept column; normal errors

@@ -1,3 +1,6 @@
+import concurrent.futures
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,21 @@ class TestRunReplication:
         assert "RankDeficient" in out.error
 
 
+def _blas_threads(_=None):
+    """This process's OpenBLAS thread count, or None without an OpenBLAS."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
 class TestRunExperiment:
     def test_single_rep_frequency_is_degenerate(self):
         plan = ExperimentPlan(cells=(small_cell(),), reps=1, tests=("RLM",), root_seed=3)
@@ -73,6 +91,25 @@ class TestRunExperiment:
         serial = run_experiment(ExperimentPlan(workers=1, **kwargs))
         parallel = run_experiment(ExperimentPlan(workers=2, **kwargs))
         assert serial.rows == parallel.rows
+
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
+        before = _blas_threads()
+        if before is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        initializers = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                initializers.append(kwargs.get("initializer"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        plan = ExperimentPlan(cells=(small_cell(),), reps=4, tests=("RLM",), workers=2)
+        run_experiment(plan)
+        assert initializers == [mc._one_blas_thread]
+        assert _blas_threads() == before
+        with Recording(max_workers=2, initializer=mc._one_blas_thread) as pool:
+            assert list(pool.map(_blas_threads, range(4))) == [1] * 4
 
     def test_report_row_arithmetic(self):
         plan = ExperimentPlan(cells=(small_cell(),), reps=40, tests=("RLM",), root_seed=9)

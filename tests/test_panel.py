@@ -39,6 +39,21 @@ class TestValidate:
         panel = random_panel(rng, n=4, t=4, k=2)
         assert any("T < k+3" in v for v in validate_dataset(panel, DYN).violations)
 
+    @pytest.mark.filterwarnings("ignore::panelcd.panel.NearUnitRootWarning")
+    def test_dynamic_size_rule_counts_the_appended_constant(self):
+        # a 4-unit, 3-period panel with no regressors: the dynamic fit's
+        # design is the lag plus an appended constant, two columns for
+        # T_eff = 2 periods, so it would fit every unit exactly
+        y = 1e8 * np.random.default_rng(0).standard_normal((4, 3))
+        panel = build_panel(y, np.empty((4, 3, 0)), has_intercept=False)
+        message = "T < k+3 (dynamic): T=3, k=1 with the appended constant"
+        assert message in validate_dataset(panel, DYN).violations
+        with pytest.raises(PanelError, match=r"k=1 with the appended constant"):
+            fit(panel, DYN)
+        # without the constant the design keeps one residual degree of freedom
+        resid = fit(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=False))
+        assert resid.t_eff - resid.k_eff == 1
+
     def test_zero_regressor_column_flags_unit(self, rng):
         panel = random_panel(rng, n=5, t=20, k=2)
         x = panel.x.copy()

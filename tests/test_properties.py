@@ -15,11 +15,13 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from panelcd import cli
 from panelcd.cd_stats import TestConfig as Config, run_all
-from panelcd.cli import dump_panel_csv, load_panel_csv
+from panelcd.cli import CsvError, CsvParseError, NonNumericError, dump_panel_csv, load_panel_csv
 from panelcd.correlation import correlation_matrix
 from panelcd.panel import ModelKind, ModelSpec, NearUnitRootWarning, fit
 
@@ -133,3 +135,81 @@ def test_shuffled_csv_rows_give_the_same_panel(panel, seed):
     header, *rows = out.getvalue().splitlines(keepends=True)
     random.Random(seed).shuffle(rows)
     _assert_same_panel(_load_text(header + "".join(rows), panel.has_intercept), panel)
+
+
+def _load_chunked(text, chunk_rows, add_intercept=True):
+    """``load_panel_csv`` on ``text`` with ``chunk_rows`` records per chunk;
+    the panel, or the error it raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        try:
+            return _load_text(text, add_intercept)
+        except CsvError as exc:
+            return exc
+
+
+@PROPERTY_SETTINGS
+@given(panel=raw_panels(), chunk_rows=st.integers(1, 4), data=st.data())
+def test_multi_chunk_files_load_as_one_chunk(panel, chunk_rows, data):
+    # shuffled rows, blank rows anywhere, and sometimes a missing row (a gap)
+    out = io.StringIO()
+    dump_panel_csv(panel, out)
+    header, *rows = out.getvalue().splitlines(keepends=True)
+    rows = data.draw(st.permutations(rows))
+    if data.draw(st.booleans()):
+        del rows[data.draw(st.integers(0, len(rows) - 1))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        rows.insert(data.draw(st.integers(0, len(rows))), "\n")
+    text = header + "".join(rows)
+    one = _load_chunked(text, len(rows) + 1, panel.has_intercept)
+    many = _load_chunked(text, chunk_rows, panel.has_intercept)
+    if isinstance(one, CsvError):
+        assert type(many) is type(one) and str(many) == str(one)
+    else:
+        _assert_same_panel(many, one)
+
+
+FAULTS = ("non-numeric", "width", "duplicate", "spelling")
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(3, 5),
+    t=st.integers(2, 4),
+    chunk_rows=st.integers(1, 4),
+    faults=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_malformed_files_fail_at_the_earliest_line(n, t, chunk_rows, faults, data):
+    """Faults go on distinct records after the first unit's block, which
+    holds every time label in its one spelling; chunks of 1 to 4 records put
+    faults on both sides of chunk boundaries."""
+    records = [[f"u{i}", str(s), f"{i}.{s}"] for i in range(n) for s in range(1, t + 1)]
+    at = data.draw(st.lists(st.integers(t, n * t - 1), min_size=len(faults),
+                            max_size=len(faults), unique=True))
+    for kind, r in zip(faults, at):
+        unit, time, _ = records[r]
+        if kind == "non-numeric":
+            records[r][2] = "oops"
+        elif kind == "width":
+            records[r] = records[r][:2]
+        elif kind == "duplicate":
+            records[r][0] = "u0"  # the first unit already has this period
+        else:
+            records[r][1] = data.draw(st.sampled_from((time + ".0", "0" + time, time + "e0")))
+    lines = ["unit,time,y"] + [",".join(rec) for rec in records]
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(1, len(lines))), "")
+    text = "\n".join(lines) + "\n"
+
+    # a record's line is its index in the file, blank rows counted, plus 1
+    line_of = {}
+    for line, row in enumerate(lines[1:], start=2):
+        if row:
+            line_of[len(line_of)] = line
+    line, kind = min((line_of[r], kind) for kind, r in zip(faults, at))
+    err = _load_chunked(text, chunk_rows)
+    assert isinstance(err, NonNumericError if kind == "non-numeric" else CsvParseError)
+    assert err.line == line and str(err).startswith(f"line {line}")
+    one = _load_chunked(text, len(lines))
+    assert type(err) is type(one) and str(err) == str(one)
