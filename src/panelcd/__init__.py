@@ -9,7 +9,6 @@ and a deterministic Monte Carlo engine for size/power studies.
 
 from .panel import (
     ModelKind,
-    ModelSpec,
     NearUnitRootWarning,
     PanelDataset,
     PanelError,
@@ -54,7 +53,6 @@ from .dgp import (
     gen_errors,
     gen_loadings,
     generate_panel,
-    make_rng,
 )
 from .mc import (
     ExperimentPlan,

@@ -384,7 +384,7 @@ def _failure(name: str, alpha: float, status: str, message: str) -> TestResult:
 
 
 def _lm_adj_entry(corr: CorrelationMatrix, resid: ResidualMatrix, alpha: float) -> TestResult:
-    if resid.estimator.kind is ModelKind.FIXED_EFFECTS:
+    if resid.estimator is ModelKind.FIXED_EFFECTS:
         return _failure(
             "LM_adj",
             alpha,

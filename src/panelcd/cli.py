@@ -11,14 +11,17 @@ Three commands:
 
 The panel CSV schema is ``unit,time,y,x1,...,xk`` in any row order; the
 panel must be balanced. An intercept column is inserted automatically
-unless ``--no-intercept`` is passed. Exit codes: 0 on success, 1 on
-runtime failure, 2 on usage errors.
+unless ``--no-intercept`` is passed. A dynamic model's constant is that
+intercept column and nothing else, so with ``--no-intercept`` it is fitted
+without a constant. Exit codes: 0 on success, 1 on runtime failure, 2 on
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import warnings
@@ -29,11 +32,10 @@ import numpy as np
 
 from . import __version__
 from .cd_stats import ALL_TESTS, TestConfig, TestResult, run_all
-from .dgp import Alternative, DgpConfig, ErrorDist, generate_panel, make_rng
+from .dgp import Alternative, DgpConfig, ErrorDist, generate_panel
 from .mc import ExperimentPlan, RejectionReport, run_experiment
 from .panel import (
     ModelKind,
-    ModelSpec,
     NearUnitRootWarning,
     PanelDataset,
     PanelError,
@@ -195,11 +197,14 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 def _label_key(label: str):
     # numeric labels order numerically, everything else lexicographically
-    # after; the exact Decimal value orders labels that round to one double
+    # after; the exact Decimal value orders labels that round to one double.
+    # A NaN spelling is text: NaN has no order, so as a number it would
+    # sort wherever the rows put it
     try:
-        return (0, float(label), Decimal(label))
+        value = float(label)
     except ValueError:
-        return (1, 0.0, label)
+        value = math.nan
+    return (1, 0.0, label) if math.isnan(value) else (0, value, Decimal(label))
 
 
 def _numeric_clash(labels):
@@ -516,15 +521,14 @@ def _write(text: str, path: Optional[str]) -> None:
 def _cmd_test(args) -> int:
     panel = load_panel_csv(args.data, add_intercept=not args.no_intercept)
     kind = _MODEL_KINDS[args.model]
-    spec = ModelSpec(kind, include_intercept=not args.no_intercept)
-    report = validate_dataset(panel, spec)
+    report = validate_dataset(panel, kind)
     if not report.ok:
         for v in report.violations:
             print(f"panelcd: invalid panel: {v}", file=sys.stderr)
         return 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NearUnitRootWarning)
-        resid = fit(panel, spec, keep_bases="LM_adj" in args.test_names)
+        resid = fit(panel, kind, keep_bases="LM_adj" in args.test_names)
     for w in caught:
         if issubclass(w.category, NearUnitRootWarning):
             print(f"panelcd: warning: {w.message}", file=sys.stderr)
@@ -554,7 +558,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    gen = generate_panel(args.dgp_config, make_rng(args.seed))
+    gen = generate_panel(args.dgp_config)
     if args.output is None:
         dump_panel_csv(gen.panel, sys.stdout)
     else:

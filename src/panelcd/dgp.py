@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .panel import ModelKind, ModelSpec, PanelDataset
+from .panel import ModelKind, PanelDataset
 
 logger = logging.getLogger(__name__)
 
@@ -98,11 +98,7 @@ class GeneratedPanel:
 
     panel: PanelDataset
     true_loadings: Optional[np.ndarray]
-    model_spec: ModelSpec
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+    model_spec: ModelKind
 
 
 def gen_errors(dist: ErrorDist, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,7 +194,7 @@ def gen_dgp1(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     v = _disturbances(cfg, n, t, rng, lam)
     y = alpha[:, None] + np.einsum("nl,nlt->nt", beta, xreg) + v
     panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)], n, t, True)
-    return GeneratedPanel(panel, lam, ModelSpec(ModelKind.HETEROGENEOUS))
+    return GeneratedPanel(panel, lam, ModelKind.HETEROGENEOUS)
 
 
 def _dgp2_recursion(alpha, beta1, beta2, x1, u2, v):
@@ -239,7 +235,7 @@ def gen_dgp2(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     v = _disturbances(cfg, n, p + t, rng, lam)
     x2, y = _dgp2_recursion(alpha, beta1, beta2, x1, u[:, 1, :], v)
     panel = _assemble(y[:, p:], [x1[:, p:], x2[:, p:]], n, t, True)
-    return GeneratedPanel(panel, lam, ModelSpec(ModelKind.HETEROGENEOUS))
+    return GeneratedPanel(panel, lam, ModelKind.HETEROGENEOUS)
 
 
 def gen_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
@@ -253,7 +249,7 @@ def gen_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     slopes = np.arange(2, k + 1, dtype=np.float64)
     y = 1.0 + np.einsum("l,nlt->nt", slopes, xreg) + mu[:, None] + v
     panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)], n, t, True)
-    return GeneratedPanel(panel, lam, ModelSpec(ModelKind.FIXED_EFFECTS))
+    return GeneratedPanel(panel, lam, ModelKind.FIXED_EFFECTS)
 
 
 def _stable_lag_coefs(n: int, rng: np.random.Generator, limit: float = MAX_STABLE_LAG) -> np.ndarray:
@@ -289,7 +285,10 @@ def _dgp4_recursion(xi: np.ndarray, beta: np.ndarray, v: np.ndarray) -> np.ndarr
 
 def gen_dgp4(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     """Pure dynamic panel: unit-level AR(1) around a fixed point that mixes
-    the period-0 disturbance with an independent N(1, 2) draw."""
+    the period-0 disturbance with an independent N(1, 2) draw.
+
+    The panel's only column is its intercept, which is the dynamic fit's
+    constant: the fitted design is (lag, 1)."""
     n, t, p = cfg.n, cfg.t, cfg.burn_in + 1
     lam = _maybe_loadings(cfg, rng)
     beta = _stable_lag_coefs(n, rng)
@@ -297,8 +296,8 @@ def gen_dgp4(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     v = _disturbances(cfg, n, p + t, rng, lam)
     xi = v[:, p - 1] + eta  # disturbance at time 0 enters the fixed effect
     y = _dgp4_recursion(xi, beta, v)
-    panel = _assemble(y[:, p:], [], n, t, False)
-    return GeneratedPanel(panel, lam, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
+    panel = _assemble(y[:, p:], [], n, t, True)
+    return GeneratedPanel(panel, lam, ModelKind.DYNAMIC)
 
 
 _GENERATORS = {1: gen_dgp1, 2: gen_dgp2, 3: gen_dgp3, 4: gen_dgp4}
@@ -308,5 +307,5 @@ def generate_panel(cfg: DgpConfig, rng: Optional[np.random.Generator] = None) ->
     """Generate one panel for ``cfg``, using ``cfg.seed`` when no generator
     is injected."""
     if rng is None:
-        rng = make_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
     return _GENERATORS[cfg.dgp](cfg, rng)

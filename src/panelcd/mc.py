@@ -45,12 +45,11 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one cell")
         if self.reps < 1:
             raise ValueError("need reps >= 1")
+        tests = tuple(self.tests)
+        # the rules every replication's TestConfig applies, checked before any runs
+        TestConfig(alpha=self.alpha, tests=tests)
         object.__setattr__(self, "cells", tuple(self.cells))
-        ordered = tuple(t for t in ALL_TESTS if t in tuple(self.tests))
-        if len(ordered) != len(tuple(self.tests)):
-            unknown = [t for t in self.tests if t not in ALL_TESTS]
-            raise ValueError(f"unknown tests: {unknown}")
-        object.__setattr__(self, "tests", ordered)
+        object.__setattr__(self, "tests", tuple(t for t in ALL_TESTS if t in tests))
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def run_replication(
     alpha: float,
     rng: np.random.Generator,
 ) -> RepOutcome:
-    """Generate one panel, fit it per its model spec, and run the battery.
+    """Generate one panel, fit it with its model kind, and run the battery.
 
     Returns one flag per requested test: True/False for a decision, None
     when that test was unsupported or failed, or the whole replication

@@ -1,12 +1,15 @@
 """Balanced-panel containers and the residual fit.
 
 One entry point, :func:`fit`, covers the three model classes used by the
-dependence tests, as selected by a :class:`ModelSpec`:
+dependence tests, as selected by a :class:`ModelKind`:
 
 - per-unit OLS for heterogeneous-coefficient panels,
 - the within (demeaning) estimator for fixed-effects panels with a
   common slope vector,
 - per-unit OLS with an auto-built lag column for dynamic panels.
+
+The intercept lives in one place, the panel: a dynamic fit's constant is
+the panel's intercept column, and nothing is appended to its design.
 
 All three are one least-squares problem on a stack of designs (per unit,
 pooled and demeaned, or lag-augmented). Each stack is factored once, for
@@ -55,19 +58,6 @@ class ModelKind(str, Enum):
     HETEROGENEOUS = "heterogeneous"
     FIXED_EFFECTS = "fixed_effects"
     DYNAMIC = "dynamic"
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Which estimator to use for a panel.
-
-    ``include_intercept`` only matters for dynamic fits: when True and the
-    panel itself carries no intercept column, a constant column is appended
-    to the augmented (lag-extended) design.
-    """
-
-    kind: ModelKind
-    include_intercept: bool = True
 
 
 @dataclass(frozen=True)
@@ -153,7 +143,7 @@ class ResidualMatrix:
     resid: np.ndarray
     t_eff: int
     k_eff: int
-    estimator: ModelSpec
+    estimator: ModelKind
     ortho_bases: Optional[np.ndarray] = None
     coef: Optional[np.ndarray] = None
 
@@ -176,44 +166,44 @@ class ValidationReport:
         return not self.violations
 
 
-def _rule_breaks(data: PanelDataset, spec: ModelSpec) -> list:
+def _rule_breaks(data: PanelDataset, kind: ModelKind) -> list:
     """The estimator's rules that ``data`` breaks, as the errors ``fit`` raises.
 
     - Size rule: the lag takes one period, so min T = k + 2 + lag and
-      T_eff = T - lag, with k counting the constant a dynamic fit appends.
-      Every fit then keeps at least one residual degree of freedom.
+      T_eff = T - lag. Every fit then keeps at least one residual degree of
+      freedom.
     - A heterogeneous fit needs at least one regressor column.
     - Rank test: every design of the factored stack has smallest/largest
       singular value at least ``RANK_TOL``. It runs whenever the stack holds
       a period, even on a panel too short for the size rule, so a report
       lists every problem at once.
     """
-    lag = 1 if spec.kind is ModelKind.DYNAMIC else 0
-    appended = bool(lag) and spec.include_intercept and not data.has_intercept
+    lag = 1 if kind is ModelKind.DYNAMIC else 0
     breaks = []
-    if data.t < data.k + appended + 2 + lag:
+    if data.t < data.k + 2 + lag:
         rule = "T < k+3 (dynamic)" if lag else "T < k+2"
-        k = f"{data.k + 1} with the appended constant" if appended else data.k
-        breaks.append(PanelError(f"{rule}: T={data.t}, k={k}"))
-    if spec.kind is ModelKind.HETEROGENEOUS and data.k == 0:
+        breaks.append(PanelError(f"{rule}: T={data.t}, k={data.k}"))
+    if kind is ModelKind.HETEROGENEOUS and data.k == 0:
         breaks.append(PanelError("heterogeneous model needs at least one regressor column (k=0)"))
     elif data.t > lag:
-        pooled = spec.kind is ModelKind.FIXED_EFFECTS
-        bad = np.nonzero(_fitted_stack(data, spec).ratio < RANK_TOL)[0]
+        pooled = kind is ModelKind.FIXED_EFFECTS
+        bad = np.nonzero(_fitted_stack(data, kind).ratio < RANK_TOL)[0]
         breaks += [RankDeficientError("pooled" if pooled else f"unit {data.unit_ids[i]}") for i in bad]
     return breaks
 
 
-def validate_dataset(data: PanelDataset, spec: ModelSpec) -> ValidationReport:
+def validate_dataset(data: PanelDataset, kind: ModelKind) -> ValidationReport:
     """Check a panel against the requirements of the chosen estimator.
 
     Report-only: returns the list of violations instead of raising, so a
     front end can show all problems at once. Besides the estimator's rules,
     which ``fit`` enforces in the same words, the tests need n >= 3, a true
-    intercept column and no constant response.
+    intercept column and no constant response. ``kind`` is read as in
+    :func:`fit`.
     """
+    kind = ModelKind(kind)
     v = [f"n < 3 (got n={data.n})"] if data.n < 3 else []
-    v += [str(e) for e in _rule_breaks(data, spec)]
+    v += [str(e) for e in _rule_breaks(data, kind)]
     if data.has_intercept and not np.all(data.x[:, :, 0] == 1.0):
         v.append("intercept column (x column 0) is not identically 1")
     constant = np.nonzero(np.all(data.y == data.y[:, :1], axis=1))[0]
@@ -272,7 +262,7 @@ def _least_squares(designs: np.ndarray, y: np.ndarray) -> _LeastSquares:
     return _LeastSquares(ratio, q.transpose(1, 2, 0), resid, coef)
 
 
-def _fitted_stack(data: PanelDataset, spec: ModelSpec) -> _LeastSquares:
+def _fitted_stack(data: PanelDataset, kind: ModelKind) -> _LeastSquares:
     """Least squares of the estimator's design stack, factored once per panel.
 
     Per-unit designs for heterogeneous fits, lag-augmented ones for dynamic
@@ -284,21 +274,19 @@ def _fitted_stack(data: PanelDataset, spec: ModelSpec) -> _LeastSquares:
     An intercept-only within stack has no columns: its residuals are the
     demeaned response, and the empty design passes the rank test.
     """
-    # the stack depends on the kind, and for dynamic fits on the intercept
-    key = spec if spec.kind is ModelKind.DYNAMIC else spec.kind
-    ls = data._fits.get(key)
+    ls = data._fits.get(kind)
     if ls is None:
-        if spec.kind is ModelKind.FIXED_EFFECTS:
+        if kind is ModelKind.FIXED_EFFECTS:
             designs, y = _demeaned_stack(data)
-        elif spec.kind is ModelKind.DYNAMIC:
-            designs, y = _dynamic_designs(data, spec), data.y[:, 1:]
+        elif kind is ModelKind.DYNAMIC:
+            designs, y = _dynamic_designs(data), data.y[:, 1:]
         else:
             designs, y = data.x, data.y
         if designs.shape[2]:
             ls = _least_squares(designs, y)
         else:
             ls = _LeastSquares(np.ones(len(y)), designs, y, np.zeros((len(y), 0)))
-        data._fits[key] = ls
+        data._fits[kind] = ls
         for part in ls:
             part.flags.writeable = False
     return ls
@@ -317,22 +305,15 @@ def _demeaned_stack(data: PanelDataset):
     return xd.reshape(1, nt, x.shape[2]), yd.reshape(1, nt)
 
 
-def _dynamic_designs(data: PanelDataset, spec: ModelSpec) -> np.ndarray:
-    """Augmented designs (n, T-1, k_eff): lag column, panel columns, intercept.
-
-    Period 1 of each unit is consumed as the presample lag. The lag comes
-    first; an intercept column is appended only when requested and the
-    panel does not already carry one.
-    """
-    lag = data.y[:, :-1, None]
-    cols = [lag, data.x[:, 1:, :]]
-    if spec.include_intercept and not data.has_intercept:
-        cols.append(np.ones((data.n, data.t - 1, 1)))
-    return np.concatenate(cols, axis=2)
+def _dynamic_designs(data: PanelDataset) -> np.ndarray:
+    """Augmented designs (n, T-1, k+1): the lag column, then the panel's
+    columns, its intercept included. Period 1 of each unit is consumed as
+    the presample lag."""
+    return np.concatenate([data.y[:, :-1, None], data.x[:, 1:, :]], axis=2)
 
 
-def fit(data: PanelDataset, spec: ModelSpec, keep_bases: bool = True) -> ResidualMatrix:
-    """Residuals of the estimator selected by ``spec.kind``.
+def fit(data: PanelDataset, kind: ModelKind, keep_bases: bool = True) -> ResidualMatrix:
+    """Residuals of the estimator selected by ``kind``.
 
     - Heterogeneous: each unit's response is regressed on that unit's own
       design, so its residual vector is orthogonal to every regressor
@@ -341,31 +322,32 @@ def fit(data: PanelDataset, spec: ModelSpec, keep_bases: bool = True) -> Residua
       response and regressors (the intercept demeans to zero and is
       dropped), one slope vector is estimated from the pooled demeaned
       stack, and the residuals sum to zero within each unit.
-    - Dynamic: per-unit OLS on (y_{i,t-1}, x_it', [1]). The first period
-      supplies the presample lag, so T_eff = T - 1; the constant is
-      appended when ``spec.include_intercept`` is set and the panel carries
-      no intercept column.
+    - Dynamic: per-unit OLS on (y_{i,t-1}, x_it'). The first period
+      supplies the presample lag, so T_eff = T - 1. The fit's constant is
+      the panel's intercept column; a panel without one is fitted without
+      a constant.
 
-    ``k_eff`` counts the columns of the fitted design. ``keep_bases``
+    ``kind`` may be a :class:`ModelKind` or its value ("dynamic"); any other
+    value raises ``ValueError``. ``k_eff`` counts the columns of the fitted
+    design. ``keep_bases``
     retains the per-unit orthonormal design bases, which the
     moment-adjusted LM test needs; the pooled within fit has none.
 
     Raises :class:`PanelError` when the panel breaks the size rule
-    (T >= k+2, or k+3 for a dynamic fit, whose k counts an appended
-    constant) or a heterogeneous panel has no
+    (T >= k+2, or k+3 for a dynamic fit) or a heterogeneous panel has no
     regressor column, and :class:`RankDeficientError` when some design's
     smallest/largest singular value is below ``RANK_TOL``, naming the first
     such unit or ``pooled``. Warns with :class:`NearUnitRootWarning`
     (non-fatal) when a dynamic fit estimates some |lag coefficient| > 0.999.
     """
-    breaks = _rule_breaks(data, spec)
+    kind = ModelKind(kind)
+    breaks = _rule_breaks(data, kind)
     if breaks:
         raise breaks[0]
-    _, basis, resid, coef = _fitted_stack(data, spec)
-    if spec.kind is ModelKind.FIXED_EFFECTS:
+    _, basis, resid, coef = _fitted_stack(data, kind)
+    if kind is ModelKind.FIXED_EFFECTS:
         basis, resid, coef = None, resid.reshape(data.n, data.t), coef[0]
-    dynamic = spec.kind is ModelKind.DYNAMIC
-    hot = np.nonzero(np.abs(coef[:, 0]) > 0.999)[0] if dynamic else []
+    hot = np.nonzero(np.abs(coef[:, 0]) > 0.999)[0] if kind is ModelKind.DYNAMIC else []
     if len(hot):
         labels = ", ".join(str(data.unit_ids[i]) for i in hot[:5])
         warnings.warn(
@@ -377,7 +359,7 @@ def fit(data: PanelDataset, spec: ModelSpec, keep_bases: bool = True) -> Residua
         resid=resid,
         t_eff=resid.shape[1],
         k_eff=coef.shape[-1],
-        estimator=spec if dynamic else ModelSpec(spec.kind),
+        estimator=kind,
         ortho_bases=basis if keep_bases else None,
         coef=coef,
     )

@@ -26,7 +26,7 @@ from panelcd.cd_stats import (
 # alias avoids pytest trying to collect the production config class
 Config = cd.TestConfig
 from panelcd.correlation import CorrelationMatrix, TraceStats, correlation_matrix, trace_stats
-from panelcd.panel import ModelKind, ModelSpec, NearUnitRootWarning, ResidualMatrix, fit
+from panelcd.panel import ModelKind, NearUnitRootWarning, ResidualMatrix, fit
 
 from conftest import random_panel
 
@@ -326,12 +326,12 @@ class TestInvariances:
 
 class TestRunAll:
     def test_requested_subset_dispatch(self, rng):
-        resid = fit(random_panel(rng), ModelSpec(ModelKind.HETEROGENEOUS))
+        resid = fit(random_panel(rng), ModelKind.HETEROGENEOUS)
         results = run_all(resid, Config(tests=("RLM", "RLM_PE")))
         assert [r.name for r in results] == ["RLM", "RLM_PE"]
 
     def test_lm_adj_unsupported_for_fixed_effects(self, rng):
-        resid = fit(random_panel(rng), ModelSpec(ModelKind.FIXED_EFFECTS))
+        resid = fit(random_panel(rng), ModelKind.FIXED_EFFECTS)
         results = run_all(resid, Config(tests=("LM_adj", "RLM")))
         by_name = {r.name: r for r in results}
         assert by_name["LM_adj"].status == "unsupported"
@@ -339,7 +339,7 @@ class TestRunAll:
         assert by_name["RLM"].status == "ok"
 
     def test_lm_adj_unsupported_without_bases(self, rng):
-        resid = fit(random_panel(rng), ModelSpec(ModelKind.HETEROGENEOUS), keep_bases=False)
+        resid = fit(random_panel(rng), ModelKind.HETEROGENEOUS, keep_bases=False)
         (res,) = run_all(resid, Config(tests=("LM_adj",)))
         assert res.status == "unsupported"
 
@@ -352,11 +352,11 @@ class TestRunAll:
             warnings.simplefilter("ignore", NearUnitRootWarning)
             warnings.simplefilter("error", RuntimeWarning)
             if dof:
-                resid = fit(random_panel(rng, n=5, t=4, k=1), ModelSpec(ModelKind.DYNAMIC))
+                resid = fit(random_panel(rng, n=5, t=4, k=1), ModelKind.DYNAMIC)
             else:
                 resid = ResidualMatrix(
                     resid=rng.standard_normal((4, 2)), t_eff=2, k_eff=2,
-                    estimator=ModelSpec(ModelKind.DYNAMIC), ortho_bases=np.stack([np.eye(2)] * 4),
+                    estimator=ModelKind.DYNAMIC, ortho_bases=np.stack([np.eye(2)] * 4),
                 )
             results = {r.name: r for r in run_all(resid, Config())}
         assert resid.t_eff - resid.k_eff == dof
@@ -372,7 +372,7 @@ class TestRunAll:
             return original(corr, t_eff)
 
         monkeypatch.setattr(cd, "trace_stats", spy)
-        resid = fit(random_panel(rng), ModelSpec(ModelKind.HETEROGENEOUS))
+        resid = fit(random_panel(rng), ModelKind.HETEROGENEOUS)
         results = run_all(resid, Config())
         assert len(results) == 8
         assert len(calls) == 1
@@ -381,7 +381,7 @@ class TestRunAll:
         v = rng.standard_normal((4, 12))
         v[1, 3] = np.nan
         resid = ResidualMatrix(
-            resid=v, t_eff=12, k_eff=0, estimator=ModelSpec(ModelKind.HETEROGENEOUS)
+            resid=v, t_eff=12, k_eff=0, estimator=ModelKind.HETEROGENEOUS
         )
         results = run_all(resid, Config(tests=("LM", "CD_P", "RLM", "RLM_PE")))
         assert [r.status for r in results] == ["failed"] * 4
@@ -391,7 +391,7 @@ class TestRunAll:
         n, t = 400, 50
         resid = ResidualMatrix(
             resid=rng.standard_normal((n, t)), t_eff=t, k_eff=0,
-            estimator=ModelSpec(ModelKind.HETEROGENEOUS),
+            estimator=ModelKind.HETEROGENEOUS,
         )
         tracemalloc.start()
         try:
@@ -403,7 +403,7 @@ class TestRunAll:
         assert peak < n * n * 8
 
     def test_lm_adj_leaves_rho_unformed_when_n_exceeds_t(self, rng, monkeypatch):
-        resid = fit(random_panel(rng, n=200, t=30, k=3), ModelSpec(ModelKind.HETEROGENEOUS))
+        resid = fit(random_panel(rng, n=200, t=30, k=3), ModelKind.HETEROGENEOUS)
         made = []
 
         def spy(r):
@@ -418,7 +418,7 @@ class TestRunAll:
     def test_lm_adj_working_memory_is_below_n_squared(self, rng):
         # the parent's full grids held mu, sigma, rho and z: several n^2 arrays
         n, t = 600, 50
-        resid = fit(random_panel(rng, n=n, t=t, k=3), ModelSpec(ModelKind.HETEROGENEOUS))
+        resid = fit(random_panel(rng, n=n, t=t, k=3), ModelKind.HETEROGENEOUS)
         corr = correlation_matrix(resid)
         tracemalloc.start()
         try:
@@ -433,13 +433,13 @@ class TestRunAll:
         v = rng.standard_normal((4, 12))
         v[0] = 0.0
         resid = ResidualMatrix(
-            resid=v, t_eff=12, k_eff=0, estimator=ModelSpec(ModelKind.HETEROGENEOUS)
+            resid=v, t_eff=12, k_eff=0, estimator=ModelKind.HETEROGENEOUS
         )
         results = run_all(resid, Config(tests=("RLM", "CD_P")))
         assert all(r.status == "failed" for r in results)
 
     def test_p_values_consistent_with_distribution(self, rng):
-        resid = fit(random_panel(rng, n=6, t=30, k=2), ModelSpec(ModelKind.HETEROGENEOUS))
+        resid = fit(random_panel(rng, n=6, t=30, k=2), ModelKind.HETEROGENEOUS)
         for res in run_all(resid, Config()):
             if res.status != "ok":
                 continue

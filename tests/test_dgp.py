@@ -13,9 +13,8 @@ from panelcd.dgp import (
     gen_errors,
     gen_loadings,
     generate_panel,
-    make_rng,
 )
-from panelcd.panel import ModelKind, ModelSpec, fit, validate_dataset
+from panelcd.panel import ModelKind, fit, validate_dataset
 
 
 def cfg_for(dgp, **kw):
@@ -40,27 +39,27 @@ class TestConfigValidation:
 
 class TestErrors:
     def test_unit_moments_at_scale(self):
-        rng = make_rng(7)
+        rng = np.random.default_rng(7)
         for dist in ErrorDist:
             draws = gen_errors(dist, 1000, 1000, rng)
             assert abs(draws.mean()) < 0.005
             assert 0.99 < draws.var() < 1.01
 
     def test_chisq_skewness_preserved(self):
-        rng = make_rng(8)
+        rng = np.random.default_rng(8)
         draws = gen_errors(ErrorDist.CHISQ5, 1000, 1000, rng).ravel()
         skew = np.mean((draws - draws.mean()) ** 3) / draws.std() ** 3
         assert skew == pytest.approx(np.sqrt(8.0 / 5.0), abs=0.05)
 
     def test_same_seed_bitwise_identical(self):
-        a = gen_errors(ErrorDist.STUDENT_T10, 50, 40, make_rng(3))
-        b = gen_errors(ErrorDist.STUDENT_T10, 50, 40, make_rng(3))
+        a = gen_errors(ErrorDist.STUDENT_T10, 50, 40, np.random.default_rng(3))
+        b = gen_errors(ErrorDist.STUDENT_T10, 50, 40, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
 
 class TestLoadings:
     def test_sparse_counts(self):
-        lam = gen_loadings(Alternative.SPARSE, 100, make_rng(1))
+        lam = gen_loadings(Alternative.SPARSE, 100, np.random.default_rng(1))
         nz = lam[lam != 0]
         assert lam.shape == (100,)
         assert nz.size == 3  # floor(100^0.3)
@@ -68,17 +67,17 @@ class TestLoadings:
         assert np.all(lam[3:] == 0)
 
     def test_less_sparse_counts(self):
-        lam = gen_loadings(Alternative.LESS_SPARSE, 100, make_rng(2))
+        lam = gen_loadings(Alternative.LESS_SPARSE, 100, np.random.default_rng(2))
         assert np.count_nonzero(lam) == 10
 
     def test_dense_bound(self):
-        lam = gen_loadings(Alternative.DENSE, 300, make_rng(3), h=3.0)
+        lam = gen_loadings(Alternative.DENSE, 300, np.random.default_rng(3), h=3.0)
         assert np.max(np.abs(lam)) <= np.sqrt(9.0 / 300.0)
         assert np.max(np.abs(lam)) <= 0.17320508 + 1e-9
 
     def test_null_has_no_loadings(self):
         with pytest.raises(ValueError):
-            gen_loadings(Alternative.NULL, 10, make_rng(0))
+            gen_loadings(Alternative.NULL, 10, np.random.default_rng(0))
 
 
 class TestGenerators:
@@ -98,11 +97,10 @@ class TestGenerators:
         assert gen.panel.time_ids == tuple(str(s) for s in range(1, 41))
 
     def test_model_specs(self):
-        assert generate_panel(cfg_for(1)).model_spec.kind is ModelKind.HETEROGENEOUS
-        assert generate_panel(cfg_for(2)).model_spec.kind is ModelKind.HETEROGENEOUS
-        assert generate_panel(cfg_for(3)).model_spec.kind is ModelKind.FIXED_EFFECTS
-        spec4 = generate_panel(cfg_for(4)).model_spec
-        assert spec4.kind is ModelKind.DYNAMIC and spec4.include_intercept
+        assert generate_panel(cfg_for(1)).model_spec is ModelKind.HETEROGENEOUS
+        assert generate_panel(cfg_for(2)).model_spec is ModelKind.HETEROGENEOUS
+        assert generate_panel(cfg_for(3)).model_spec is ModelKind.FIXED_EFFECTS
+        assert generate_panel(cfg_for(4)).model_spec is ModelKind.DYNAMIC
 
     def test_null_panels_carry_no_loadings(self):
         assert generate_panel(cfg_for(1)).true_loadings is None
@@ -112,7 +110,7 @@ class TestGenerators:
         gen = generate_panel(cfg)
         assert np.count_nonzero(gen.true_loadings) == 3
         # loadings are the first consumption of the stream
-        expected = gen_loadings(Alternative.SPARSE, 100, make_rng(9))
+        expected = gen_loadings(Alternative.SPARSE, 100, np.random.default_rng(9))
         assert np.array_equal(gen.true_loadings, expected)
 
     def test_dgp1_regressor_stationarity(self):
@@ -129,7 +127,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("shape", [(40,), (5, 40), (5, 3, 40)])
     def test_ar1_bit_equal_to_loop(self, shape):
-        innov = make_rng(4).standard_normal(shape)
+        innov = np.random.default_rng(4).standard_normal(shape)
         ref = np.empty_like(innov)
         ref[..., 0] = innov[..., 0]
         for t in range(1, shape[-1]):
@@ -149,7 +147,7 @@ class TestGenerators:
     def test_dgp2_feedback_wiring(self):
         # with zero u2 the second regressor equals the lagged response
         n, span = 3, 20
-        rng = make_rng(5)
+        rng = np.random.default_rng(5)
         alpha = rng.normal(size=n)
         b1 = rng.normal(size=n)
         b2 = rng.uniform(0.2, 0.8, n)
@@ -161,7 +159,7 @@ class TestGenerators:
 
     def test_dgp3_zero_noise_within_residuals_vanish(self):
         # exact homogeneous model: the within transform must fit it perfectly
-        rng = make_rng(6)
+        rng = np.random.default_rng(6)
         n, t = 5, 25
         x = np.empty((n, t, 2))
         x[:, :, 0] = 1.0
@@ -170,7 +168,7 @@ class TestGenerators:
         y = 1.0 + 2.0 * x[:, :, 1] + mu[:, None]
         from conftest import build_panel
 
-        res = fit(build_panel(y, x), ModelSpec(ModelKind.FIXED_EFFECTS))
+        res = fit(build_panel(y, x), ModelKind.FIXED_EFFECTS)
         assert np.max(np.abs(res.resid)) < 1e-10
 
     def test_dgp4_fixed_point(self):
@@ -181,9 +179,10 @@ class TestGenerators:
         assert np.max(np.abs(y[:, -1] - 2.0)) < 1e-6
 
     def test_dgp4_lag_coefficients_are_stationary(self):
-        beta = _stable_lag_coefs(500, make_rng(10))
+        beta = _stable_lag_coefs(500, np.random.default_rng(10))
         assert np.max(np.abs(beta)) <= 0.98
 
     def test_dgp4_panel_has_no_regressors(self):
+        # the only column is the intercept, the dynamic fit's constant
         panel = generate_panel(cfg_for(4)).panel
-        assert panel.k == 0 and not panel.has_intercept
+        assert panel.k == 1 and panel.has_intercept and np.all(panel.x == 1.0)

@@ -145,6 +145,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentPlan(cells=(small_cell(),), reps=5, tests=("BOGUS",))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval_is_refused(self, alpha):
+        # every replication would fail on it, so the plan refuses it up front
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentPlan(cells=(small_cell(),), reps=3, alpha=alpha, tests=("RLM",))
+
     def test_tests_reordered_canonically(self):
         plan = ExperimentPlan(cells=(small_cell(),), reps=2, tests=("RLM_PE", "LM", "RLM"))
         assert plan.tests == ("LM", "RLM", "RLM_PE")

@@ -4,7 +4,6 @@ import pytest
 from panelcd.panel import (
     RANK_TOL,
     ModelKind,
-    ModelSpec,
     NearUnitRootWarning,
     PanelDataset,
     PanelError,
@@ -20,9 +19,9 @@ from panelcd.panel import (
 
 from conftest import build_panel, random_panel
 
-HET = ModelSpec(ModelKind.HETEROGENEOUS)
-FE = ModelSpec(ModelKind.FIXED_EFFECTS)
-DYN = ModelSpec(ModelKind.DYNAMIC, include_intercept=True)
+HET = ModelKind.HETEROGENEOUS
+FE = ModelKind.FIXED_EFFECTS
+DYN = ModelKind.DYNAMIC
 
 
 class TestValidate:
@@ -40,18 +39,18 @@ class TestValidate:
         assert any("T < k+3" in v for v in validate_dataset(panel, DYN).violations)
 
     @pytest.mark.filterwarnings("ignore::panelcd.panel.NearUnitRootWarning")
-    def test_dynamic_size_rule_counts_the_appended_constant(self):
-        # a 4-unit, 3-period panel with no regressors: the dynamic fit's
-        # design is the lag plus an appended constant, two columns for
-        # T_eff = 2 periods, so it would fit every unit exactly
+    def test_dynamic_size_rule_counts_the_intercept_column(self):
+        # a 4-unit, 3-period panel whose only column is the intercept: the
+        # dynamic fit's design is the lag plus that constant, two columns
+        # for T_eff = 2 periods, so it would fit every unit exactly
         y = 1e8 * np.random.default_rng(0).standard_normal((4, 3))
-        panel = build_panel(y, np.empty((4, 3, 0)), has_intercept=False)
-        message = "T < k+3 (dynamic): T=3, k=1 with the appended constant"
+        panel = build_panel(y, np.ones((4, 3, 1)))
+        message = "T < k+3 (dynamic): T=3, k=1"
         assert message in validate_dataset(panel, DYN).violations
-        with pytest.raises(PanelError, match=r"k=1 with the appended constant"):
+        with pytest.raises(PanelError, match=r"T < k\+3 \(dynamic\): T=3, k=1$"):
             fit(panel, DYN)
         # without the constant the design keeps one residual degree of freedom
-        resid = fit(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=False))
+        resid = fit(build_panel(y, np.empty((4, 3, 0)), has_intercept=False), DYN)
         assert resid.t_eff - resid.k_eff == 1
 
     def test_zero_regressor_column_flags_unit(self, rng):
@@ -85,12 +84,10 @@ class TestValidate:
 
 
 class TestFactorOnce:
-    @pytest.mark.parametrize(
-        "spec", [HET, DYN, FE], ids=lambda s: s.kind.value
-    )
-    def test_fit_reuses_the_validation_factorization(self, rng, monkeypatch, spec):
+    @pytest.mark.parametrize("kind", [HET, DYN, FE], ids=lambda s: s.value)
+    def test_fit_reuses_the_validation_factorization(self, rng, monkeypatch, kind):
         panel = random_panel(rng, n=6, t=20, k=2)
-        expected = fit(build_panel(panel.y, panel.x), spec)  # a fresh, unfactored copy
+        expected = fit(build_panel(panel.y, panel.x), kind)  # a fresh, unfactored copy
         calls = []
         svd = np.linalg.svd
 
@@ -99,13 +96,27 @@ class TestFactorOnce:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        assert validate_dataset(panel, spec).ok
-        res = fit(panel, spec)
+        assert validate_dataset(panel, kind).ok
+        res = fit(panel, kind)
         assert len(calls) == 1
         assert np.array_equal(res.resid, expected.resid)
         assert np.array_equal(res.coef, expected.coef)
-        if spec.kind is not ModelKind.FIXED_EFFECTS:
+        if kind is not ModelKind.FIXED_EFFECTS:
             assert np.array_equal(res.ortho_bases, expected.ortho_bases)
+
+    def test_kind_given_by_value_fits_the_same_model(self, rng):
+        # "dynamic" equals ModelKind.DYNAMIC and hashes alike, so the two
+        # share one kept factorization and must select the same design
+        panel = random_panel(rng, n=5, t=20, k=2)
+        by_value = fit(panel, "dynamic")
+        expected = fit(build_panel(panel.y, panel.x), DYN)
+        assert by_value.estimator is DYN and by_value.t_eff == 19
+        assert np.array_equal(by_value.resid, expected.resid)
+        assert np.array_equal(fit(panel, DYN).resid, expected.resid)
+        with pytest.raises(ValueError, match="ModelKind"):
+            fit(panel, "within")
+        with pytest.raises(ValueError, match="ModelKind"):
+            validate_dataset(panel, "within")
 
 
 class TestLeastSquaresKernel:
@@ -117,7 +128,7 @@ class TestLeastSquaresKernel:
         yield "within", *_demeaned_stack(panel)
         # a lag column far larger than the others, as in feedback designs
         big = build_panel(1e5 * panel.y, panel.x)
-        yield "dynamic", _dynamic_designs(big, DYN), big.y[:, 1:]
+        yield "dynamic", _dynamic_designs(big), big.y[:, 1:]
 
     def test_ratio_matches_svd_of_equilibrated_design(self, rng):
         m, t = 40, 60
@@ -167,9 +178,9 @@ class TestLeastSquaresKernel:
             scale = np.linalg.norm(designs, axis=1) * np.linalg.norm(ls.resid, axis=1)[:, None]
             assert np.all(cross <= 1e-12 * scale), name
 
-    @pytest.mark.parametrize("spec", [HET, DYN], ids=lambda s: s.kind.value)
-    def test_basis_and_its_base_are_read_only(self, rng, spec):
-        bases = fit(random_panel(rng, n=5, t=20, k=2), spec).ortho_bases
+    @pytest.mark.parametrize("kind", [HET, DYN], ids=lambda s: s.value)
+    def test_basis_and_its_base_are_read_only(self, rng, kind):
+        bases = fit(random_panel(rng, n=5, t=20, k=2), kind).ortho_bases
         assert not bases.flags.writeable and not bases.base.flags.writeable
         # the LM_adj grid reads the (k, n, T) layout without a copy
         assert np.transpose(bases, (2, 0, 1)).flags.c_contiguous
@@ -345,7 +356,7 @@ class TestDynamic:
         x[:, :, 0] = 1.0
         x[:, :, 1] = rng.standard_normal((n, t))
         y = 1.5 + 0.8 * x[:, :, 1]
-        res = fit(build_panel(y, x), ModelSpec(ModelKind.DYNAMIC))
+        res = fit(build_panel(y, x), DYN)
         assert np.max(np.abs(res.coef[:, 0])) < 1e-8
         assert np.max(np.abs(res.resid)) < 1e-8
 
@@ -356,8 +367,8 @@ class TestDynamic:
         y[:, 0] = y0
         for s in range(1, t):
             y[:, s] = 0.5 * y[:, s - 1]
-        panel = build_panel(y, np.empty((3, t, 0)), has_intercept=False)
-        res = fit(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
+        panel = build_panel(y, np.ones((3, t, 1)))
+        res = fit(panel, DYN)
         np.testing.assert_allclose(res.coef[:, 0], 0.5, atol=1e-10)
         assert res.t_eff == t - 1
         assert res.k_eff == 2
@@ -374,8 +385,8 @@ class TestDynamic:
             y[:, s] = xi * (1 - beta) + beta * prev + v[:, s]
             prev = y[:, s]
         y = y[:, 51:]
-        panel = build_panel(y, np.empty((n, t, 0)), has_intercept=False)
-        res = fit(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
+        panel = build_panel(y, np.ones((n, t, 1)))
+        res = fit(panel, DYN)
         for i in range(n):
             z = np.column_stack([y[i, :-1], np.ones(t - 1)])
             coef = np.linalg.solve(z.T @ z, z.T @ y[i, 1:])
@@ -387,14 +398,14 @@ class TestDynamic:
         y[:, 0] = 1.0
         for s in range(1, t):
             y[:, s] = 1.2 * y[:, s - 1] + 0.01 * rng.standard_normal(3)
-        panel = build_panel(y, np.empty((3, t, 0)), has_intercept=False)
+        panel = build_panel(y, np.ones((3, t, 1)))
         with pytest.warns(NearUnitRootWarning):
-            res = fit(panel, ModelSpec(ModelKind.DYNAMIC, include_intercept=True))
+            res = fit(panel, DYN)
         assert np.all(np.abs(res.coef[:, 0] - 1.2) < 0.05)
 
     def test_equivalent_to_manual_lag_heterogeneous_fit(self, rng):
         panel = random_panel(rng, n=5, t=20, k=2)
-        res_dyn = fit(panel, ModelSpec(ModelKind.DYNAMIC))
+        res_dyn = fit(panel, DYN)
         lag = panel.y[:, :-1]
         x_manual = np.concatenate([lag[:, :, None], panel.x[:, 1:, :]], axis=2)
         manual = build_panel(panel.y[:, 1:], x_manual, has_intercept=False)
@@ -404,4 +415,4 @@ class TestDynamic:
     def test_too_short_panel_raises(self, rng):
         panel = random_panel(rng, n=4, t=4, k=2)
         with pytest.raises(PanelError, match="k\\+3"):
-            fit(panel, ModelSpec(ModelKind.DYNAMIC))
+            fit(panel, DYN)

@@ -23,7 +23,7 @@ from panelcd import cli
 from panelcd.cd_stats import TestConfig as Config, run_all
 from panelcd.cli import CsvError, CsvParseError, NonNumericError, dump_panel_csv, load_panel_csv
 from panelcd.correlation import correlation_matrix
-from panelcd.panel import ModelKind, ModelSpec, NearUnitRootWarning, fit
+from panelcd.panel import ModelKind, NearUnitRootWarning, fit
 
 from conftest import build_panel
 
@@ -33,7 +33,7 @@ SCALES = st.floats(min_value=1e-3, max_value=1e3)
 
 @st.composite
 def panels(draw, kinds=tuple(ModelKind)):
-    """A generic panel and the spec to fit it with.
+    """A generic panel and the model kind to fit it with.
 
     Regressors are an intercept plus k - 1 normal columns, each with its own
     scale; the response mixes them with a lag of itself (strength ``a``),
@@ -56,23 +56,23 @@ def panels(draw, kinds=tuple(ModelKind)):
     prev = np.zeros(n)
     for s in range(t):
         y[:, s] = prev = a * prev + drive[:, s]
-    return build_panel(y_scale * y, x), ModelSpec(kind)
+    return build_panel(y_scale * y, x), kind
 
 
-def _fit(panel, spec):
+def _fit(panel, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearUnitRootWarning)
-        return fit(panel, spec)
+        return fit(panel, kind)
 
 
 @PROPERTY_SETTINGS
 @given(case=panels(), data=st.data())
 def test_unit_permutation_leaves_every_statistic_unchanged(case, data):
-    panel, spec = case
+    panel, kind = case
     perm = np.array(data.draw(st.permutations(range(panel.n))))
     permuted = build_panel(panel.y[perm], panel.x[perm])
-    before = run_all(_fit(panel, spec), Config())
-    after = run_all(_fit(permuted, spec), Config())
+    before = run_all(_fit(panel, kind), Config())
+    after = run_all(_fit(permuted, kind), Config())
     assert [r.name for r in before] == [r.name for r in after]
     for b, p in zip(before, after):
         assert b.status == p.status, b.name
@@ -84,11 +84,11 @@ def test_unit_permutation_leaves_every_statistic_unchanged(case, data):
 @PROPERTY_SETTINGS
 @given(case=panels(kinds=(ModelKind.HETEROGENEOUS, ModelKind.DYNAMIC)), data=st.data())
 def test_per_unit_rescaling_of_y_leaves_rho_unchanged(case, data):
-    panel, spec = case
+    panel, kind = case
     c = np.array(data.draw(st.lists(SCALES, min_size=panel.n, max_size=panel.n)))
     rescaled = build_panel(c[:, None] * panel.y, panel.x)
-    rho = correlation_matrix(_fit(panel, spec)).rho
-    np.testing.assert_allclose(correlation_matrix(_fit(rescaled, spec)).rho, rho, rtol=0, atol=1e-10)
+    rho = correlation_matrix(_fit(panel, kind)).rho
+    np.testing.assert_allclose(correlation_matrix(_fit(rescaled, kind)).rho, rho, rtol=0, atol=1e-10)
 
 
 @st.composite
