@@ -14,7 +14,6 @@ from .panel import (
     PanelError,
     RankDeficientError,
     ResidualMatrix,
-    ValidationReport,
     fit,
     validate_dataset,
 )
@@ -22,7 +21,6 @@ from .correlation import (
     CorrelationMatrix,
     DegenerateUnitError,
     InvalidBasisError,
-    ProjectionPairMoments,
     TraceStats,
     correlation_matrix,
     projection_pair_moments,
@@ -30,8 +28,6 @@ from .correlation import (
 )
 from .cd_stats import (
     ALL_TESTS,
-    MissingBasesError,
-    NullConstants,
     TestConfig,
     TestResult,
     cd_lm_stat,
@@ -49,16 +45,12 @@ from .dgp import (
     Alternative,
     DgpConfig,
     ErrorDist,
-    GeneratedPanel,
     gen_errors,
     gen_loadings,
     generate_panel,
 )
 from .mc import (
     ExperimentPlan,
-    RejectionReport,
-    ReportRow,
-    RepOutcome,
     derive_stream,
     run_experiment,
     run_replication,

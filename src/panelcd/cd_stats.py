@@ -47,13 +47,11 @@ class TestComputationError(Exception):
     pass
 
 
-class MissingBasesError(TestComputationError):
-    """LM_adj was requested but the residuals carry no design bases."""
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """Which tests to run and at what significance level."""
+
+    __test__ = False  # the Test prefix does not make it a pytest test class
 
     alpha: float = 0.05
     tests: Sequence[str] = ALL_TESTS
@@ -354,7 +352,7 @@ def lm_adj_stat(
         rank one, so (T - k) rho_ij^2 equals mu_ij and its variance is 0.
     """
     if bases is None:
-        raise MissingBasesError("residuals were fitted without basis retention")
+        raise TestComputationError("residuals were fitted without basis retention")
     if t_eff - k_eff < 2:
         raise TestComputationError(f"LM_adj needs T > k+1, got T={t_eff}, k={k_eff}")
     n = corr.n

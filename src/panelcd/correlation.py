@@ -18,23 +18,23 @@ working memory is O(nT) plus fixed-size tiles, and no n x n array is
 formed when n > T; the full R is formed only when ``rho`` is read, which
 the n <= T traces do.
 
-The projection-moment helpers reduce all trace computations to k x k
+The pair moments of LM_adj reduce the trace computations to k x k
 algebra: with M_i = I - Q_i Q_i' and C = Q_i' Q_j,
 
     tr(M_i M_j)     = T - 2k + ||C||_F^2
     tr((M_i M_j)^2) = T - 2k + tr((C'C)^2)
 
-which turns the O(T^3) dense products into O(T k^2) per pair. The grid
-version yields square tiles of unit pairs, ``GRID_BLOCK`` units a side, on
-and above the diagonal, and sums each pair's k x k terms in a fixed order;
-it agrees with the per-pair helper to rounding. Callers reduce each tile as
-it comes, so the n x n moment grids are never held.
+which turns the O(T^3) dense products into O(T k^2) per pair. One kernel,
+``projection_moment_grids``, computes them: it yields square tiles of unit
+pairs, ``GRID_BLOCK`` units a side, on and above the diagonal, and callers
+reduce each tile as it comes, so the n x n moment grids are never held.
+``projection_pair_moments`` is the same kernel run on a two-unit stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -73,16 +73,13 @@ class InvalidBasisError(CorrelationError):
 class CorrelationMatrix:
     """Symmetric n x n residual correlation matrix R with unit diagonal.
 
-    :func:`correlation_matrix` keeps the unit-norm residual rows V (``rows``,
-    n x T) with R = V V' and forms ``rho`` only when it is first read, so
-    when n > T the statistics, which read traces or tiles from ``block``,
-    never hold an n x n array. Constructed from an explicit matrix, it
-    keeps a read-only copy of that matrix and ``rows`` is None.
+    Made only by :func:`correlation_matrix`, which keeps the unit-norm
+    residual rows V (``rows``, n x T, read-only) with R = V V'. ``rho`` is
+    formed only when it is first read, so when n > T the statistics, which
+    read traces or tiles from ``block``, never hold an n x n array.
     """
 
-    def __init__(self, rho: np.ndarray):
-        self.rows: Optional[np.ndarray] = None
-        self._rho = _read_only(np.array(rho, dtype=np.float64))
+    rows: np.ndarray
 
     @classmethod
     def _from_rows(cls, rows: np.ndarray) -> "CorrelationMatrix":
@@ -105,14 +102,11 @@ class CorrelationMatrix:
 
     @property
     def n(self) -> int:
-        return (self._rho if self.rows is None else self.rows).shape[0]
+        return self.rows.shape[0]
 
     def block(self, rs: slice, cs: slice) -> np.ndarray:
-        """The tile R[rs, cs]: V[rs] V[cs]' from the kept rows, else a slice
-        of the explicit matrix. Formed from rows, a tile on the diagonal of R
-        has a diagonal only near 1 and may be asymmetric by rounding."""
-        if self.rows is None:
-            return self._rho[rs, cs]
+        """The tile R[rs, cs] = V[rs] V[cs]'. A tile on the diagonal of R has
+        a diagonal only near 1 and may be asymmetric by rounding."""
         return self.rows[rs] @ self.rows[cs].T
 
 
@@ -172,9 +166,9 @@ def correlation_matrix(resid: Union[ResidualMatrix, np.ndarray]) -> CorrelationM
 def trace_stats(corr: CorrelationMatrix, t_eff: int) -> TraceStats:
     """tr(R^2), tr(R^4) and the off-diagonal sum of a correlation matrix.
 
-    The traces come from the Gram matrix on the smaller side. When the
-    matrix is kept as unit-norm rows V (n x T) with n > T, G = V'V, which
-    shares its nonzero eigenvalues with R = V V':
+    The traces come from the Gram matrix on the smaller side of the
+    unit-norm rows V (n x T). When n > T, G = V'V, which shares its nonzero
+    eigenvalues with R = V V':
 
         tr(R^2) = ||G||_F^2,   tr(R^4) = ||G^2||_F^2,
         sum_{i != j} rho_ij = ||sum_i v_i||^2 - n,
@@ -183,9 +177,9 @@ def trace_stats(corr: CorrelationMatrix, t_eff: int) -> TraceStats:
     ``rho``, which LM_adj reuses) and the off-diagonal sum is the sum of R
     minus n.
     """
-    n = corr.n
     v = corr.rows
-    if v is not None and n > v.shape[1]:
+    n, t = v.shape
+    if n > t:
         g = v.T @ v
         s = v.sum(axis=0)
         offdiag_sum = float(s @ s - n)
@@ -202,14 +196,6 @@ def _check_orthonormal(q: np.ndarray, name: str) -> None:
     g = q.T @ q
     if np.max(np.abs(g - np.eye(q.shape[1]))) > ORTHONORMAL_TOL:
         raise InvalidBasisError(f"{name} does not have orthonormal columns")
-
-
-def pair_trace_reductions(c: np.ndarray, t: int, k: int):
-    """tr(M_i M_j) and tr((M_i M_j)^2) from the k x k cross product C = Q_i'Q_j."""
-    tr_mm = t - 2 * k + float(np.einsum("ab,ab->", c, c))
-    b = c.T @ c
-    tr_mm2 = t - 2 * k + float(np.einsum("ab,ab->", b, b))
-    return tr_mm, tr_mm2
 
 
 def moment_weights(t: int, k: int):
@@ -242,11 +228,8 @@ def projection_pair_moments(
         raise InvalidBasisError(f"bases must have shape ({t}, {k})")
     _check_orthonormal(q_i, "q_i")
     _check_orthonormal(q_j, "q_j")
-    c = q_i.T @ q_j
-    tr_mm, tr_mm2 = pair_trace_reductions(c, t, k)
-    a1, a2 = moment_weights(t, k)
-    var = tr_mm * tr_mm * a1 + 2.0 * tr_mm2 * a2
-    return ProjectionPairMoments(mu=tr_mm / (t - k), sigma=float(np.sqrt(var)))
+    _, _, mu, sigma = next(projection_moment_grids(np.stack([q_i, q_j]), t, k))
+    return ProjectionPairMoments(mu=float(mu[0, 1]), sigma=float(sigma[0, 1]))
 
 
 def projection_moment_grids(bases: np.ndarray, t: int, k: int):

@@ -253,7 +253,9 @@ def _least_squares(designs: np.ndarray, y: np.ndarray) -> _LeastSquares:
         v /= np.where(r[:, j, j] > 0, r[:, j, j], 1.0)[:, None]
     u, s, vt = np.linalg.svd(r)
     qty = np.einsum("amt,mt->ma", q, y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a coefficient beyond the double range (a response more than about 1e308
+    # times the scale of its regressor) comes out inf; the residuals do not
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(s[:, 0] > 0, s[:, -1] / s[:, 0], 0.0)
         coef = np.einsum("mlk,ml->mk", vt, np.einsum("mal,ma->ml", u, qty) / s) / norms.T
     ratio[np.any(norms == 0, axis=0)] = 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from panelcd.correlation import projection_moment_grids
+from panelcd.correlation import correlation_matrix, projection_moment_grids
 from panelcd.panel import PanelDataset
 
 
@@ -14,6 +14,11 @@ def build_panel(y, x, has_intercept=True):
         time_ids=tuple(str(s + 1) for s in range(t)),
         has_intercept=has_intercept,
     )
+
+
+def corr_of(rho):
+    """The correlation matrix of a given R, built from its Cholesky row factor."""
+    return correlation_matrix(np.linalg.cholesky(np.asarray(rho, dtype=float)))
 
 
 def moment_grids(bases, t, k):
@@ -32,6 +37,22 @@ def moment_grids(bases, t, k):
             out[rows, cols] = tile
             out[cols, rows] = tile.T
     return mu, sigma
+
+
+def dense_pair_moments(q_i, q_j, t, k):
+    """Mean and standard deviation of (T-k) rho_ij^2 from dense projections.
+
+    The oracle for the pair-moment kernel: tr(M_i M_j) and tr((M_i M_j)^2)
+    come from T x T products of M_i = I - Q_i Q_i', and the moments from
+    the published formula with a_2T = 3/(T-k+2)^2, a_1T = a_2T - 1/(T-k)^2.
+    """
+    m_i = np.eye(t) - q_i @ q_i.T
+    m_j = np.eye(t) - q_j @ q_j.T
+    prod = m_i @ m_j
+    tr_mm, tr_mm2 = np.trace(prod), np.trace(prod @ prod)
+    a2 = 3.0 / (t - k + 2) ** 2
+    a1 = a2 - 1.0 / (t - k) ** 2
+    return tr_mm / (t - k), np.sqrt(tr_mm**2 * a1 + 2.0 * tr_mm2 * a2)
 
 
 def random_panel(rng, n=5, t=20, k=2, noise=1.0):

@@ -25,14 +25,14 @@ from panelcd.cd_stats import (
 
 # alias avoids pytest trying to collect the production config class
 Config = cd.TestConfig
-from panelcd.correlation import CorrelationMatrix, TraceStats, correlation_matrix, trace_stats
+from panelcd.correlation import TraceStats, correlation_matrix, trace_stats
 from panelcd.panel import ModelKind, NearUnitRootWarning, ResidualMatrix, fit
 
-from conftest import random_panel
+from conftest import corr_of, random_panel
 
 
 def stats_for(rho_matrix, t_eff):
-    return trace_stats(CorrelationMatrix(np.asarray(rho_matrix, dtype=float)), t_eff)
+    return trace_stats(corr_of(rho_matrix), t_eff)
 
 
 def identity_stats(n, t_eff):
@@ -254,7 +254,7 @@ class TestLmAdj:
         t, k, n = 20, 2, 3
         q = np.linalg.qr(rng.standard_normal((t, k)))[0]
         bases = np.stack([q] * n)
-        corr = CorrelationMatrix(np.eye(n))
+        corr = corr_of(np.eye(n))
         res = lm_adj_stat(corr, bases, t, k)
         from panelcd.correlation import projection_pair_moments
 
@@ -304,7 +304,7 @@ class TestInvariances:
         adjusted[2, :] *= -1
         adjusted[:, 2] *= -1
         np.fill_diagonal(adjusted, 1.0)
-        expected = cd_p_stat(trace_stats(CorrelationMatrix(adjusted), 20)).statistic
+        expected = cd_p_stat(stats_for(adjusted, 20)).statistic
         assert cd_p_stat(stats_from_residuals(flipped)).statistic == pytest.approx(expected, abs=1e-10)
 
     def test_p_value_monotone_in_statistic(self):
@@ -342,6 +342,8 @@ class TestRunAll:
         resid = fit(random_panel(rng), ModelKind.HETEROGENEOUS, keep_bases=False)
         (res,) = run_all(resid, Config(tests=("LM_adj",)))
         assert res.status == "unsupported"
+        with pytest.raises(cd.TestComputationError, match="without basis retention"):
+            lm_adj_stat(correlation_matrix(resid), None, resid.t_eff, resid.k_eff)
 
     @pytest.mark.parametrize("dof", [1, 0])
     def test_lm_adj_fails_without_warnings_below_two_residual_degrees_of_freedom(self, rng, dof):

@@ -10,13 +10,12 @@ from panelcd.correlation import (
     DegenerateUnitError,
     InvalidBasisError,
     correlation_matrix,
-    pair_trace_reductions,
     projection_moment_grids,
     projection_pair_moments,
     trace_stats,
 )
 
-from conftest import moment_grids
+from conftest import corr_of, dense_pair_moments, moment_grids
 
 
 def corr_loop_oracle(v):
@@ -36,13 +35,10 @@ def random_basis(rng, t, k):
 
 
 class TestCorrelationMatrix:
-    def test_explicit_matrix_is_copied_not_frozen(self):
-        a = np.eye(3)
-        corr = CorrelationMatrix(a)
-        assert a.flags.writeable
-        a[0, 1] = 0.5
-        assert corr.rho[0, 1] == 0.0
-        assert not corr.rho.flags.writeable
+    def test_only_correlation_matrix_makes_one(self):
+        # a matrix passed to the class would otherwise be read as rows
+        with pytest.raises(TypeError):
+            CorrelationMatrix(np.eye(3))
 
     def test_duplicate_rows_correlate_to_one(self, rng):
         v = rng.standard_normal((4, 12))
@@ -103,7 +99,7 @@ class TestCorrelationMatrix:
 
 class TestTraceStats:
     def test_identity_case(self):
-        stats = trace_stats(CorrelationMatrix(np.eye(7)), t_eff=13)
+        stats = trace_stats(corr_of(np.eye(7)), t_eff=13)
         assert stats.tr_r2 == pytest.approx(7.0, abs=1e-14)
         assert stats.tr_r4 == pytest.approx(7.0, abs=1e-14)
         assert stats.offdiag_sum == pytest.approx(0.0, abs=1e-14)
@@ -111,7 +107,7 @@ class TestTraceStats:
     def test_two_by_two_eigenvalue_expansion(self):
         # oracle: eigenvalues 1 +/- rho, so tr R^4 = (1+rho)^4 + (1-rho)^4
         rho = 0.5
-        stats = trace_stats(CorrelationMatrix(np.array([[1.0, rho], [rho, 1.0]])), t_eff=10)
+        stats = trace_stats(corr_of([[1.0, rho], [rho, 1.0]]), t_eff=10)
         assert stats.tr_r2 == pytest.approx(2 + 2 * rho**2, abs=1e-13)
         assert stats.tr_r4 == pytest.approx((1 + rho) ** 4 + (1 - rho) ** 4, abs=1e-13)
         assert stats.tr_r4 == pytest.approx(2 + 12 * rho**2 + 2 * rho**4, abs=1e-13)
@@ -132,10 +128,12 @@ class TestTraceStats:
     def test_gram_side_matches_explicit_rho(self, rng, n, t):
         # rows give the traces from the min(n, T)-side Gram matrix
         corr = correlation_matrix(rng.standard_normal((n, t)) + 0.3 * rng.standard_normal(t))
-        from_rows = trace_stats(corr, t)
-        from_rho = trace_stats(CorrelationMatrix(corr.rho), t)
-        for name in ("tr_r2", "tr_r4", "offdiag_sum"):
-            assert getattr(from_rows, name) == pytest.approx(getattr(from_rho, name), rel=1e-12)
+        stats = trace_stats(corr, t)
+        r = corr.rho
+        r2 = r @ r
+        assert stats.tr_r2 == pytest.approx(np.einsum("ij,ij->", r, r), rel=1e-12)
+        assert stats.tr_r4 == pytest.approx(np.einsum("ij,ij->", r2, r2), rel=1e-12)
+        assert stats.offdiag_sum == pytest.approx(r.sum() - n, rel=1e-12)
 
     def test_offdiagonal_mass_nonnegative(self, rng):
         for _ in range(5):
@@ -157,9 +155,6 @@ class TestProjectionMoments:
     def test_identical_designs(self, rng):
         t, k = 20, 2
         q = random_basis(rng, t, k)
-        tr_mm, tr_mm2 = pair_trace_reductions(q.T @ q, t, k)
-        assert tr_mm == pytest.approx(t - k, abs=1e-10)
-        assert tr_mm2 == pytest.approx(t - k, abs=1e-10)
         pm = projection_pair_moments(q, q, t, k)
         # both residuals span the same (T-k)-space, so with m = T-k the squared
         # correlation is Beta(1/2, (m-1)/2): E[m rho^2] = 1, Var = 2(m-1)/(m+2)
@@ -173,21 +168,20 @@ class TestProjectionMoments:
         q_i[0, 0] = q_i[1, 1] = 1.0
         q_j = np.zeros((t, k))
         q_j[2, 0] = q_j[3, 1] = 1.0
-        tr_mm, tr_mm2 = pair_trace_reductions(q_i.T @ q_j, t, k)
-        assert tr_mm == pytest.approx(6.0, abs=1e-12)
-        assert tr_mm2 == pytest.approx(6.0, abs=1e-12)
+        pm = projection_pair_moments(q_i, q_j, t, k)
+        # M_i M_j projects off 2k axes, so tr(M_i M_j) = tr((M_i M_j)^2) = T - 2k
+        assert pm.mu == pytest.approx(6.0 / (t - k), abs=1e-12)
+        assert pm.sigma == pytest.approx(dense_pair_moments(q_i, q_j, t, k)[1], abs=1e-12)
 
     def test_matches_dense_projection_oracle(self, rng):
         # oracle: build M = I - QQ' explicitly and take dense traces
         t, k = 12, 3
         q_i = random_basis(rng, t, k)
         q_j = random_basis(rng, t, k)
-        m_i = np.eye(t) - q_i @ q_i.T
-        m_j = np.eye(t) - q_j @ q_j.T
-        prod = m_i @ m_j
-        tr_mm, tr_mm2 = pair_trace_reductions(q_i.T @ q_j, t, k)
-        assert tr_mm == pytest.approx(np.trace(prod), abs=1e-10)
-        assert tr_mm2 == pytest.approx(np.trace(prod @ prod), abs=1e-10)
+        pm = projection_pair_moments(q_i, q_j, t, k)
+        mu, sigma = dense_pair_moments(q_i, q_j, t, k)
+        assert pm.mu == pytest.approx(mu, abs=1e-10)
+        assert pm.sigma == pytest.approx(sigma, abs=1e-10)
 
     def test_symmetric_in_the_two_bases(self, rng):
         t, k = 15, 2

@@ -178,6 +178,15 @@ class TestLeastSquaresKernel:
             scale = np.linalg.norm(designs, axis=1) * np.linalg.norm(ls.resid, axis=1)[:, None]
             assert np.all(cross <= 1e-12 * scale), name
 
+    def test_coefficient_beyond_double_range_is_inf_without_warning(self, rng):
+        # slope about 1e350: the suite turns the overflow RuntimeWarning into an error
+        x = np.ones((3, 12, 2))
+        x[:, :, 1] = 1e-150 * rng.standard_normal((3, 12))
+        y = 1e200 * (x[:, :, 1] * 1e150 + 0.1 * rng.standard_normal((3, 12)))
+        ls = _least_squares(x, y)
+        assert np.all(np.isinf(ls.coef[:, 1]))
+        assert np.all(np.isfinite(ls.resid))
+
     @pytest.mark.parametrize("kind", [HET, DYN], ids=lambda s: s.value)
     def test_basis_and_its_base_are_read_only(self, rng, kind):
         bases = fit(random_panel(rng, n=5, t=20, k=2), kind).ortho_bases

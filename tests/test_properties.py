@@ -20,32 +20,34 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panelcd import cli
-from panelcd.cd_stats import TestConfig as Config, run_all
+from panelcd.cd_stats import ALL_TESTS, TestConfig as Config, run_all
 from panelcd.cli import CsvError, CsvParseError, NonNumericError, dump_panel_csv, load_panel_csv
 from panelcd.correlation import correlation_matrix
-from panelcd.panel import ModelKind, NearUnitRootWarning, fit
+from panelcd.panel import ModelKind, NearUnitRootWarning, PanelError, fit
 
 from conftest import build_panel
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 SCALES = st.floats(min_value=1e-3, max_value=1e3)
+WIDE_SCALES = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
 
 
 @st.composite
-def panels(draw, kinds=tuple(ModelKind)):
+def panels(draw, kinds=tuple(ModelKind), scales=SCALES, constant_units=False):
     """A generic panel and the model kind to fit it with.
 
     Regressors are an intercept plus k - 1 normal columns, each with its own
     scale; the response mixes them with a lag of itself (strength ``a``),
-    so dynamic fits see a genuine lag column.
+    so dynamic fits see a genuine lag column. With ``constant_units`` some
+    units' responses are replaced by a constant.
     """
     kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(3, 12))
     k = draw(st.integers(1, 3))
     t = draw(st.integers(k + 3, 40))
     a = draw(st.floats(min_value=-0.9, max_value=0.9))
-    col_scales = draw(st.lists(SCALES, min_size=k, max_size=k))
-    y_scale = draw(SCALES)
+    col_scales = draw(st.lists(scales, min_size=k, max_size=k))
+    y_scale = draw(scales)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = np.empty((n, t, k))
     x[:, :, 0] = 1.0
@@ -56,6 +58,9 @@ def panels(draw, kinds=tuple(ModelKind)):
     prev = np.zeros(n)
     for s in range(t):
         y[:, s] = prev = a * prev + drive[:, s]
+    if constant_units:
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+            y[i] = rng.standard_normal()
     return build_panel(y_scale * y, x), kind
 
 
@@ -89,6 +94,29 @@ def test_per_unit_rescaling_of_y_leaves_rho_unchanged(case, data):
     rescaled = build_panel(c[:, None] * panel.y, panel.x)
     rho = correlation_matrix(_fit(panel, kind)).rho
     np.testing.assert_allclose(correlation_matrix(_fit(rescaled, kind)).rho, rho, rtol=0, atol=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(
+    case=panels(scales=WIDE_SCALES, constant_units=True),
+    tests=st.sets(st.sampled_from(ALL_TESTS), min_size=1),
+)
+def test_every_requested_statistic_ends_ok_or_explained(case, tests):
+    # the edges: n = 3, T = k + 3 for dynamic fits, constant responses, and
+    # regressor and response scales from 1e-150 to 1e150
+    panel, kind = case
+    try:
+        resid = _fit(panel, kind)
+    except PanelError as exc:  # refused where the panel enters, with a reason
+        assert str(exc)
+        return
+    results = run_all(resid, Config(tests=tuple(tests)))
+    assert [r.name for r in results] == [name for name in ALL_TESTS if name in tests]
+    for r in results:
+        if r.status == "ok":
+            assert math.isfinite(r.statistic) and math.isfinite(r.p_value), r
+        else:
+            assert r.status in ("failed", "unsupported") and r.message, r
 
 
 @st.composite
