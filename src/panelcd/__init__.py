@@ -9,7 +9,6 @@ and a deterministic Monte Carlo engine for size/power studies.
 
 from .panel import (
     ModelKind,
-    NearUnitRootWarning,
     PanelDataset,
     PanelError,
     RankDeficientError,

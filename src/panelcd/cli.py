@@ -24,7 +24,6 @@ import csv
 import math
 import os
 import sys
-import warnings
 from decimal import Decimal
 from typing import Optional, Sequence, Union
 
@@ -34,14 +33,7 @@ from . import __version__
 from .cd_stats import ALL_TESTS, TestConfig, TestResult, run_all
 from .dgp import Alternative, DgpConfig, ErrorDist, generate_panel
 from .mc import ExperimentPlan, RejectionReport, run_experiment
-from .panel import (
-    ModelKind,
-    NearUnitRootWarning,
-    PanelDataset,
-    PanelError,
-    fit,
-    validate_dataset,
-)
+from .panel import NEAR_UNIT_ROOT, ModelKind, PanelDataset, PanelError, fit, validate_dataset
 
 
 class CsvError(Exception):
@@ -87,9 +79,6 @@ _ALT_NAMES = {
     "sparse": Alternative.SPARSE,
     "less-sparse": Alternative.LESS_SPARSE,
 }
-
-_DEFAULT_K = {1: 2, 2: 3, 3: 2, 4: 0}
-
 
 def _parse_tests(spec: str, parser: argparse.ArgumentParser) -> tuple:
     names = []
@@ -169,8 +158,6 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
             )
         if args.alternative != "dense" and args.h is not None:
             parser.error("--h is only meaningful with --alternative dense")
-        if args.k is None:
-            args.k = _DEFAULT_K[args.dgp]
         try:
             args.dgp_config = DgpConfig(
                 dgp=args.dgp,
@@ -289,7 +276,7 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
     blocks = []  # per chunk, each record's y, x1..xk
     blank_lines: list = []
     non_numeric = None  # (record, column, cell) of the earliest non-numeric cell
-    bad_width = None
+    stop_fault = None  # the wrong-width row or unreadable record that ended reading
     rows = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -316,7 +303,7 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
                             blank_lines.append(lineno)
                             continue
                         # rows after this one are never read; an earlier fault still wins
-                        bad_width = CsvParseError(lineno, f"expected {width} fields, got {len(row)}")
+                        stop_fault = CsvParseError(lineno, f"expected {width} fields, got {len(row)}")
                         done = True
                         break
                     flat.extend(row)
@@ -325,7 +312,9 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
                 else:
                     done = True
             except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-                raise CsvParseError(lineno + 1, str(exc)) from None
+                # read like a wrong-width row: reading stops, an earlier fault wins
+                stop_fault = CsvParseError(lineno + 1, str(exc))
+                done = True
             if flat:
                 values, indices, bad = _convert_chunk(flat, width, label_index)
                 flat.clear()
@@ -337,7 +326,7 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
                 rows += len(values)
 
     if not rows:
-        raise bad_width or CsvParseError(2, "no data rows")
+        raise stop_fault or CsvParseError(2, "no data rows")
 
     def line_of(record: int) -> int:
         line = record + 2
@@ -376,8 +365,8 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
         faults.append((r, width, CsvParseError(line_of(r), detail)))
     if faults:
         raise min(faults, key=lambda f: f[:2])[2]
-    if bad_width is not None:
-        raise bad_width
+    if stop_fault is not None:
+        raise stop_fault
 
     have = counts.reshape(n, t)
     gaps = np.flatnonzero((have == 0).any(axis=1))
@@ -521,19 +510,20 @@ def _write(text: str, path: Optional[str]) -> None:
 def _cmd_test(args) -> int:
     panel = load_panel_csv(args.data, add_intercept=not args.no_intercept)
     kind = _MODEL_KINDS[args.model]
-    report = validate_dataset(panel, kind)
-    if not report.ok:
-        for v in report.violations:
+    violations = validate_dataset(panel, kind)
+    if violations:
+        for v in violations:
             print(f"panelcd: invalid panel: {v}", file=sys.stderr)
         return 1
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NearUnitRootWarning)
-        resid = fit(panel, kind, keep_bases="LM_adj" in args.test_names)
-    for w in caught:
-        if issubclass(w.category, NearUnitRootWarning):
-            print(f"panelcd: warning: {w.message}", file=sys.stderr)
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    resid = fit(panel, kind)
+    hot = resid.near_unit_root
+    if len(hot):
+        labels = ", ".join(str(panel.unit_ids[i]) for i in hot[:5])
+        print(
+            f"panelcd: warning: |lag coefficient| > {NEAR_UNIT_ROOT:g} "
+            f"for {len(hot)} unit(s): {labels}",
+            file=sys.stderr,
+        )
     results = run_all(resid, TestConfig(alpha=args.alpha, tests=args.test_names))
     _write(
         emit_report(results, args.format, t_eff=resid.t_eff, n=resid.n, alpha=args.alpha),

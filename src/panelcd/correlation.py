@@ -173,9 +173,9 @@ def trace_stats(corr: CorrelationMatrix, t_eff: int) -> TraceStats:
         tr(R^2) = ||G||_F^2,   tr(R^4) = ||G^2||_F^2,
         sum_{i != j} rho_ij = ||sum_i v_i||^2 - n,
 
-    and no n x n array is formed. Otherwise G = R itself (read through
-    ``rho``, which LM_adj reuses) and the off-diagonal sum is the sum of R
-    minus n.
+    and no n x n array is formed. Otherwise G = R itself, read through
+    ``rho``, and the off-diagonal sum is the sum of R minus n. LM_adj does
+    not share this R: it reads R tile by tile through ``block``.
     """
     v = corr.rows
     n, t = v.shape

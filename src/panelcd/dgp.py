@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 AR_COEF = 0.6
 MAX_STABLE_LAG = 0.98  # dynamic designs redraw the AR coefficient beyond this
 MAX_FEEDBACK_SLOPE = 0.9  # feedback design: tighter bound, see gen_dgp2
+_DEFAULT_K = {1: 2, 2: 3, 3: 2, 4: 0}  # regressor columns per dgp, intercept included
 
 
 class ErrorDist(str, Enum):
@@ -61,12 +62,17 @@ class Alternative(str, Enum):
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """One simulation cell: which design, at what size, under what errors."""
+    """One simulation cell: which design, at what size, under what errors.
+
+    ``k`` counts the regressor columns, intercept included. Left out, it
+    takes the design's default: 2 for dgps 1 and 3, 3 for dgp 2 and 0 for
+    dgp 4 (the only values dgps 2 and 4 accept).
+    """
 
     dgp: int
     t: int
     n: int
-    k: int = 2
+    k: Optional[int] = None
     error_dist: ErrorDist = ErrorDist.NORMAL
     alternative: Alternative = Alternative.NULL
     h: float = 3.0
@@ -76,6 +82,8 @@ class DgpConfig:
     def __post_init__(self):
         if self.dgp not in (1, 2, 3, 4):
             raise ValueError("dgp must be 1, 2, 3 or 4")
+        if self.k is None:
+            object.__setattr__(self, "k", _DEFAULT_K[self.dgp])
         if self.t < 10:
             raise ValueError("need T >= 10")
         if self.n < 3:

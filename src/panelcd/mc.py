@@ -16,7 +16,6 @@ cell's model is counted as unsupported, apart from the failures.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .cd_stats import ALL_TESTS, TestConfig, run_all
 from .dgp import DgpConfig, generate_panel
-from .panel import NearUnitRootWarning, PanelError, fit
+from .panel import PanelError, fit
 
 _FAILURE_CAUSES = (PanelError, np.linalg.LinAlgError, FloatingPointError, ValueError)
 
@@ -134,12 +133,7 @@ def run_replication(
     tests = tuple(tests)
     try:
         gen = generate_panel(cfg, rng)
-        keep_bases = "LM_adj" in tests
-        with warnings.catch_warnings():
-            # near-unit-root notices are routine for dynamic cells; they
-            # would flood replication runs
-            warnings.simplefilter("ignore", NearUnitRootWarning)
-            resid = fit(gen.panel, gen.model_spec, keep_bases=keep_bases)
+        resid = fit(gen.panel, gen.model_spec)
         results = run_all(resid, TestConfig(alpha=alpha, tests=tests))
     except _FAILURE_CAUSES as exc:
         return RepOutcome(flags=(None,) * len(tests), error=f"{type(exc).__name__}: {exc}")

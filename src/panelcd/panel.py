@@ -26,7 +26,6 @@ every broken rule, fit raises the first.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -35,6 +34,8 @@ import numpy as np
 
 # Singular-value ratio below which a design is declared rank deficient.
 RANK_TOL = 1e-10
+# |lag coefficient| above which a dynamic fit's unit counts as near a unit root.
+NEAR_UNIT_ROOT = 0.999
 
 
 class PanelError(Exception):
@@ -48,10 +49,6 @@ class RankDeficientError(PanelError):
     def __init__(self, scope: str):
         self.scope = scope
         super().__init__(f"rank-deficient design: {scope}")
-
-
-class NearUnitRootWarning(UserWarning):
-    """A dynamic fit produced a lag coefficient with |alpha| > 0.999."""
 
 
 class ModelKind(str, Enum):
@@ -156,14 +153,13 @@ class ResidualMatrix:
     def n(self) -> int:
         return self.resid.shape[0]
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
-
     @property
-    def ok(self) -> bool:
-        return not self.violations
+    def near_unit_root(self) -> np.ndarray:
+        """Indices of the units whose dynamic fit has |lag coefficient| above
+        ``NEAR_UNIT_ROOT``; empty for any other fit."""
+        if self.estimator is not ModelKind.DYNAMIC or self.coef is None:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(np.abs(self.coef[:, 0]) > NEAR_UNIT_ROOT)
 
 
 def _rule_breaks(data: PanelDataset, kind: ModelKind) -> list:
@@ -192,14 +188,14 @@ def _rule_breaks(data: PanelDataset, kind: ModelKind) -> list:
     return breaks
 
 
-def validate_dataset(data: PanelDataset, kind: ModelKind) -> ValidationReport:
+def validate_dataset(data: PanelDataset, kind: ModelKind) -> tuple:
     """Check a panel against the requirements of the chosen estimator.
 
-    Report-only: returns the list of violations instead of raising, so a
-    front end can show all problems at once. Besides the estimator's rules,
-    which ``fit`` enforces in the same words, the tests need n >= 3, a true
-    intercept column and no constant response. ``kind`` is read as in
-    :func:`fit`.
+    Report-only: returns the violation messages as a tuple instead of
+    raising, so a front end can show all problems at once; an empty tuple
+    means the panel is valid. Besides the estimator's rules, which ``fit``
+    enforces in the same words, the tests need n >= 3, a true intercept
+    column and no constant response. ``kind`` is read as in :func:`fit`.
     """
     kind = ModelKind(kind)
     v = [f"n < 3 (got n={data.n})"] if data.n < 3 else []
@@ -208,7 +204,7 @@ def validate_dataset(data: PanelDataset, kind: ModelKind) -> ValidationReport:
         v.append("intercept column (x column 0) is not identically 1")
     constant = np.nonzero(np.all(data.y == data.y[:, :1], axis=1))[0]
     v += [f"constant response for unit {data.unit_ids[i]}" for i in constant]
-    return ValidationReport(tuple(v))
+    return tuple(v)
 
 
 class _LeastSquares(NamedTuple):
@@ -331,16 +327,19 @@ def fit(data: PanelDataset, kind: ModelKind, keep_bases: bool = True) -> Residua
 
     ``kind`` may be a :class:`ModelKind` or its value ("dynamic"); any other
     value raises ``ValueError``. ``k_eff`` counts the columns of the fitted
-    design. ``keep_bases``
-    retains the per-unit orthonormal design bases, which the
-    moment-adjusted LM test needs; the pooled within fit has none.
+    design. ``keep_bases`` retains the per-unit orthonormal design bases,
+    which the moment-adjusted LM test needs; the pooled within fit has none.
 
     Raises :class:`PanelError` when the panel breaks the size rule
     (T >= k+2, or k+3 for a dynamic fit) or a heterogeneous panel has no
     regressor column, and :class:`RankDeficientError` when some design's
     smallest/largest singular value is below ``RANK_TOL``, naming the first
-    such unit or ``pooled``. Warns with :class:`NearUnitRootWarning`
-    (non-fatal) when a dynamic fit estimates some |lag coefficient| > 0.999.
+    such unit or ``pooled``. :func:`validate_dataset` returns the messages
+    of every such rule as a tuple instead, empty for a valid panel.
+
+    A near-unit-root unit is a result, not an error: the returned
+    ``near_unit_root`` holds the indices of the units whose dynamic fit has
+    |lag coefficient| > ``NEAR_UNIT_ROOT`` (empty for any other fit).
     """
     kind = ModelKind(kind)
     breaks = _rule_breaks(data, kind)
@@ -349,14 +348,6 @@ def fit(data: PanelDataset, kind: ModelKind, keep_bases: bool = True) -> Residua
     _, basis, resid, coef = _fitted_stack(data, kind)
     if kind is ModelKind.FIXED_EFFECTS:
         basis, resid, coef = None, resid.reshape(data.n, data.t), coef[0]
-    hot = np.nonzero(np.abs(coef[:, 0]) > 0.999)[0] if kind is ModelKind.DYNAMIC else []
-    if len(hot):
-        labels = ", ".join(str(data.unit_ids[i]) for i in hot[:5])
-        warnings.warn(
-            f"|lag coefficient| > 0.999 for {len(hot)} unit(s): {labels}",
-            NearUnitRootWarning,
-            stacklevel=2,
-        )
     return ResidualMatrix(
         resid=resid,
         t_eff=resid.shape[1],

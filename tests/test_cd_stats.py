@@ -26,7 +26,7 @@ from panelcd.cd_stats import (
 # alias avoids pytest trying to collect the production config class
 Config = cd.TestConfig
 from panelcd.correlation import TraceStats, correlation_matrix, trace_stats
-from panelcd.panel import ModelKind, NearUnitRootWarning, ResidualMatrix, fit
+from panelcd.panel import ModelKind, ResidualMatrix, fit
 
 from conftest import corr_of, random_panel
 
@@ -351,8 +351,7 @@ class TestRunAll:
         # variance is 0; at none the moment weights divide by T - k. No fit
         # leaves none, so those residuals are made by hand
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NearUnitRootWarning)
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             if dof:
                 resid = fit(random_panel(rng, n=5, t=4, k=1), ModelKind.DYNAMIC)
             else:

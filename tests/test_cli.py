@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -20,7 +21,10 @@ from panelcd.cli import (
 from panelcd import cd_stats
 from panelcd.correlation import GRID_BLOCK
 from panelcd.dgp import DgpConfig, generate_panel
-from panelcd.panel import NearUnitRootWarning, fit
+from panelcd.panel import fit
+
+# one more digit than the csv module's field limit
+OVERSIZE = "9" * (csv.field_size_limit() + 1)
 
 
 class TestParseArgs:
@@ -136,6 +140,11 @@ class TestLoadPanelCsv:
             ("a,1,1.0\n\na,1,2.0\n", CsvParseError, 4),
             # the earliest fault wins: non-numeric on line 3, short row on line 5
             ("a,1,1.0\na,2,bad\na,3,3.0\na,4\n", NonNumericError, 3),
+            # a record the csv module cannot read ends reading like a short row
+            pytest.param(f"a,1,oops\na,2,2.0\na,3,3.0\na,4,{OVERSIZE}\n", NonNumericError, 2,
+                         id="non-numeric-before-oversize"),
+            pytest.param(f"a,1,1.0\na,1,2.0\na,2,3.0\na,3,{OVERSIZE}\n", CsvParseError, 3,
+                         id="duplicate-before-oversize"),
         ],
     )
     def test_fault_line_numbers(self, tmp_path, body, error, line):
@@ -271,7 +280,7 @@ class TestEndToEnd:
         rows = [f"{i},{s},{y}" for i, ys in enumerate(series, 1) for s, y in enumerate(ys, 1)]
         data.write_text("unit,time,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
         with warnings.catch_warnings():
-            warnings.simplefilter("error", NearUnitRootWarning)
+            warnings.simplefilter("error")  # the notice is plain stderr text, not a warning
             code = main(["test", "--data", str(data), "--model", "dynamic", "--tests", "rlm"])
         assert code == 0
         captured = capsys.readouterr()
@@ -317,7 +326,6 @@ class TestEndToEnd:
         assert "invalid panel" in captured.err and "k=0" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.filterwarnings("ignore::panelcd.panel.NearUnitRootWarning")
     @pytest.mark.parametrize("dgp, model", [(1, "hetero"), (2, "hetero"), (3, "fixed"), (4, "dynamic")])
     def test_round_trip_above_grid_block(self, tmp_path, dgp, model):
         # more units than two LM_adj grid blocks, and not a multiple of one

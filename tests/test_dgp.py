@@ -18,7 +18,7 @@ from panelcd.panel import ModelKind, fit, validate_dataset
 
 
 def cfg_for(dgp, **kw):
-    base = dict(dgp=dgp, t=30, n=10, k={1: 2, 2: 3, 3: 2, 4: 0}[dgp])
+    base = dict(dgp=dgp, t=30, n=10)
     base.update(kw)
     return DgpConfig(**base)
 
@@ -35,6 +35,11 @@ class TestConfigValidation:
             DgpConfig(dgp=4, t=30, n=10, k=2)
         with pytest.raises(ValueError):
             DgpConfig(dgp=1, t=30, n=10, alternative=Alternative.DENSE, h=0.0)
+
+    def test_k_defaults_per_dgp(self):
+        assert [DgpConfig(dgp=d, t=30, n=10).k for d in (1, 2, 3, 4)] == [2, 3, 2, 0]
+        assert DgpConfig(dgp=1, t=30, n=10) == DgpConfig(dgp=1, t=30, n=10, k=2)
+        assert DgpConfig(dgp=3, t=30, n=10, k=4).k == 4
 
 
 class TestErrors:
@@ -93,7 +98,7 @@ class TestGenerators:
     @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
     def test_panels_validate_for_their_model(self, dgp):
         gen = generate_panel(cfg_for(dgp, t=40, n=8, seed=5))
-        assert validate_dataset(gen.panel, gen.model_spec).ok
+        assert validate_dataset(gen.panel, gen.model_spec) == ()
         assert gen.panel.time_ids == tuple(str(s) for s in range(1, 41))
 
     def test_model_specs(self):

@@ -4,7 +4,6 @@ import pytest
 from panelcd.panel import (
     RANK_TOL,
     ModelKind,
-    NearUnitRootWarning,
     PanelDataset,
     PanelError,
     RankDeficientError,
@@ -27,18 +26,17 @@ DYN = ModelKind.DYNAMIC
 class TestValidate:
     def test_well_formed_panel_is_ok(self, rng):
         panel = random_panel(rng, n=25, t=50, k=2)
-        assert validate_dataset(panel, HET).ok
+        assert validate_dataset(panel, HET) == ()
 
     def test_too_few_periods(self, rng):
         panel = random_panel(rng, n=4, t=3, k=2)
-        report = validate_dataset(panel, HET)
-        assert any("T < k+2" in v for v in report.violations)
+        violations = validate_dataset(panel, HET)
+        assert any("T < k+2" in v for v in violations)
 
     def test_dynamic_needs_one_more_period(self, rng):
         panel = random_panel(rng, n=4, t=4, k=2)
-        assert any("T < k+3" in v for v in validate_dataset(panel, DYN).violations)
+        assert any("T < k+3" in v for v in validate_dataset(panel, DYN))
 
-    @pytest.mark.filterwarnings("ignore::panelcd.panel.NearUnitRootWarning")
     def test_dynamic_size_rule_counts_the_intercept_column(self):
         # a 4-unit, 3-period panel whose only column is the intercept: the
         # dynamic fit's design is the lag plus that constant, two columns
@@ -46,7 +44,7 @@ class TestValidate:
         y = 1e8 * np.random.default_rng(0).standard_normal((4, 3))
         panel = build_panel(y, np.ones((4, 3, 1)))
         message = "T < k+3 (dynamic): T=3, k=1"
-        assert message in validate_dataset(panel, DYN).violations
+        assert message in validate_dataset(panel, DYN)
         with pytest.raises(PanelError, match=r"T < k\+3 \(dynamic\): T=3, k=1$"):
             fit(panel, DYN)
         # without the constant the design keeps one residual degree of freedom
@@ -58,29 +56,29 @@ class TestValidate:
         x = panel.x.copy()
         x[2, :, 1] = 0.0
         bad = build_panel(panel.y.copy(), x)
-        report = validate_dataset(bad, HET)
-        assert any("rank-deficient" in v and "unit 3" in v for v in report.violations)
+        violations = validate_dataset(bad, HET)
+        assert any("rank-deficient" in v and "unit 3" in v for v in violations)
 
     def test_constant_response_flagged(self, rng):
         panel = random_panel(rng, n=4, t=15, k=2)
         y = panel.y.copy()
         y[1, :] = 7.0
-        report = validate_dataset(build_panel(y, panel.x.copy()), HET)
-        assert any("constant response" in v and "unit 2" in v for v in report.violations)
+        violations = validate_dataset(build_panel(y, panel.x.copy()), HET)
+        assert any("constant response" in v and "unit 2" in v for v in violations)
 
     def test_broken_intercept_column(self, rng):
         panel = random_panel(rng, n=4, t=15, k=2)
         x = panel.x.copy()
         x[0, 3, 0] = 0.0
-        report = validate_dataset(build_panel(panel.y.copy(), x), HET)
-        assert any("intercept" in v for v in report.violations)
+        violations = validate_dataset(build_panel(panel.y.copy(), x), HET)
+        assert any("intercept" in v for v in violations)
 
 
     def test_heterogeneous_without_regressors_flagged(self, rng):
         panel = build_panel(rng.standard_normal((4, 15)), np.empty((4, 15, 0)), has_intercept=False)
-        report = validate_dataset(panel, HET)
-        assert any("k=0" in v for v in report.violations)
-        assert validate_dataset(panel, DYN).ok
+        violations = validate_dataset(panel, HET)
+        assert any("k=0" in v for v in violations)
+        assert validate_dataset(panel, DYN) == ()
 
 
 class TestFactorOnce:
@@ -96,7 +94,7 @@ class TestFactorOnce:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        assert validate_dataset(panel, kind).ok
+        assert validate_dataset(panel, kind) == ()
         res = fit(panel, kind)
         assert len(calls) == 1
         assert np.array_equal(res.resid, expected.resid)
@@ -401,16 +399,20 @@ class TestDynamic:
             coef = np.linalg.solve(z.T @ z, z.T @ y[i, 1:])
             np.testing.assert_allclose(res.resid[i], y[i, 1:] - z @ coef, atol=1e-8)
 
-    def test_near_unit_root_warns(self, rng):
+    def test_near_unit_root_units_are_listed(self, rng):
         t = 30
-        y = np.empty((3, t))
+        y = np.empty((4, t))
         y[:, 0] = 1.0
         for s in range(1, t):
-            y[:, s] = 1.2 * y[:, s - 1] + 0.01 * rng.standard_normal(3)
-        panel = build_panel(y, np.ones((3, t, 1)))
-        with pytest.warns(NearUnitRootWarning):
-            res = fit(panel, DYN)
-        assert np.all(np.abs(res.coef[:, 0] - 1.2) < 0.05)
+            y[:, s] = np.array([1.2, 0.3, 1.2, -0.5]) * y[:, s - 1] + 0.01 * rng.standard_normal(4)
+        panel = build_panel(y, np.ones((4, t, 1)))
+        res = fit(panel, DYN)
+        assert np.all(np.abs(res.coef[[0, 2], 0] - 1.2) < 0.05)
+        assert res.near_unit_root.dtype == np.intp
+        np.testing.assert_array_equal(res.near_unit_root, [0, 2])
+        # only a dynamic fit has a lag coefficient
+        for kind in (HET, FE):
+            assert fit(panel, kind).near_unit_root.size == 0
 
     def test_equivalent_to_manual_lag_heterogeneous_fit(self, rng):
         panel = random_panel(rng, n=5, t=20, k=2)

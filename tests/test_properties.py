@@ -3,15 +3,16 @@
 For the statistics, hypothesis draws the panel's shape, model, regressor
 and response scales, lag strength and seed; numpy draws the cells from that
 seed. For the CSV round trip, hypothesis draws every cell itself, from all
-finite doubles. Example counts are bounded so the module runs in a few
-seconds.
+finite doubles, and for the relabelling every unit and time label. Example
+counts are bounded so the module runs in a few seconds.
 """
 
+import csv
 import io
 import math
 import random
 import tempfile
-import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from panelcd import cli
 from panelcd.cd_stats import ALL_TESTS, TestConfig as Config, run_all
 from panelcd.cli import CsvError, CsvParseError, NonNumericError, dump_panel_csv, load_panel_csv
 from panelcd.correlation import correlation_matrix
-from panelcd.panel import ModelKind, NearUnitRootWarning, PanelError, fit
+from panelcd.panel import ModelKind, PanelError, fit
 
 from conftest import build_panel
 
@@ -64,20 +65,14 @@ def panels(draw, kinds=tuple(ModelKind), scales=SCALES, constant_units=False):
     return build_panel(y_scale * y, x), kind
 
 
-def _fit(panel, kind):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearUnitRootWarning)
-        return fit(panel, kind)
-
-
 @PROPERTY_SETTINGS
 @given(case=panels(), data=st.data())
 def test_unit_permutation_leaves_every_statistic_unchanged(case, data):
     panel, kind = case
     perm = np.array(data.draw(st.permutations(range(panel.n))))
     permuted = build_panel(panel.y[perm], panel.x[perm])
-    before = run_all(_fit(panel, kind), Config())
-    after = run_all(_fit(permuted, kind), Config())
+    before = run_all(fit(panel, kind), Config())
+    after = run_all(fit(permuted, kind), Config())
     assert [r.name for r in before] == [r.name for r in after]
     for b, p in zip(before, after):
         assert b.status == p.status, b.name
@@ -92,8 +87,8 @@ def test_per_unit_rescaling_of_y_leaves_rho_unchanged(case, data):
     panel, kind = case
     c = np.array(data.draw(st.lists(SCALES, min_size=panel.n, max_size=panel.n)))
     rescaled = build_panel(c[:, None] * panel.y, panel.x)
-    rho = correlation_matrix(_fit(panel, kind)).rho
-    np.testing.assert_allclose(correlation_matrix(_fit(rescaled, kind)).rho, rho, rtol=0, atol=1e-10)
+    rho = correlation_matrix(fit(panel, kind)).rho
+    np.testing.assert_allclose(correlation_matrix(fit(rescaled, kind)).rho, rho, rtol=0, atol=1e-10)
 
 
 @PROPERTY_SETTINGS
@@ -106,7 +101,7 @@ def test_every_requested_statistic_ends_ok_or_explained(case, tests):
     # regressor and response scales from 1e-150 to 1e150
     panel, kind = case
     try:
-        resid = _fit(panel, kind)
+        resid = fit(panel, kind)
     except PanelError as exc:  # refused where the panel enters, with a reason
         assert str(exc)
         return
@@ -165,6 +160,72 @@ def test_shuffled_csv_rows_give_the_same_panel(panel, seed):
     _assert_same_panel(_load_text(header + "".join(rows), panel.has_intercept), panel)
 
 
+NAN_SPELLINGS = ("nan", "NaN", "NAN", "-nan", "+nan", "-NaN", "+NaN", "nAn")
+
+
+def _is_number(label):
+    try:
+        return not math.isnan(float(label))
+    except ValueError:
+        return False
+
+
+@st.composite
+def spelled_number(draw, value):
+    """One spelling of a Decimal: scientific or positional, any case, an
+    explicit plus sign, leading zeros."""
+    text = str(value)
+    if value.is_finite() and abs(value.adjusted()) < 30 and draw(st.booleans()):
+        text = format(value, "f")
+    text = draw(st.sampled_from((text, text.lower(), text.upper())))
+    sign = "-" if text.startswith("-") else draw(st.sampled_from(("", "+")))
+    zeros = "0" * draw(st.integers(0, 2)) if value.is_finite() else ""
+    return sign + zeros + text.lstrip("-")
+
+
+@st.composite
+def ordered_labels(draw, count):
+    """``count`` distinct labels in the loader's order: labels that parse as
+    numbers (NaN aside) by exact value, then the rest, NaN spellings
+    included, as text in code-point order."""
+    numbers = draw(st.integers(0, count))
+    values = draw(
+        st.lists(
+            st.one_of(st.decimals(allow_nan=False), st.integers(-(2**64), 2**64).map(Decimal)),
+            min_size=numbers, max_size=numbers, unique=True,
+        )
+    )
+    text = st.one_of(
+        st.sampled_from(NAN_SPELLINGS),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=5).filter(
+            lambda s: s == s.strip() and not _is_number(s)
+        ),
+    )
+    words = draw(st.lists(text, min_size=count - numbers, max_size=count - numbers, unique=True))
+    return [draw(spelled_number(v)) for v in sorted(values)] + sorted(words)
+
+
+@PROPERTY_SETTINGS
+@given(panel=raw_panels(), data=st.data())
+def test_order_preserving_relabelling_gives_the_same_panel(panel, data):
+    units = data.draw(ordered_labels(panel.n))
+    times = data.draw(ordered_labels(panel.t))
+    start = int(panel.has_intercept)
+    rows = [
+        [units[i], times[s]] + [repr(float(v)) for v in (panel.y[i, s], *panel.x[i, s, start:])]
+        for i in range(panel.n)
+        for s in range(panel.t)
+    ]
+    out = io.StringIO()
+    writer = csv.writer(out)  # quotes a label holding the delimiter, a quote, CR or LF
+    writer.writerow(["unit", "time", "y"] + [f"x{j}" for j in range(1, panel.k - start + 1)])
+    writer.writerows(data.draw(st.permutations(rows)))
+    loaded = _load_text(out.getvalue(), panel.has_intercept)
+    assert loaded.unit_ids == tuple(units) and loaded.time_ids == tuple(times)
+    assert loaded.y.tobytes() == panel.y.tobytes()
+    assert loaded.x.shape == panel.x.shape and loaded.x.tobytes() == panel.x.tobytes()
+
+
 def _load_chunked(text, chunk_rows, add_intercept=True):
     """``load_panel_csv`` on ``text`` with ``chunk_rows`` records per chunk;
     the panel, or the error it raised."""
@@ -197,7 +258,7 @@ def test_multi_chunk_files_load_as_one_chunk(panel, chunk_rows, data):
         _assert_same_panel(many, one)
 
 
-FAULTS = ("non-numeric", "width", "duplicate", "spelling")
+FAULTS = ("non-numeric", "width", "duplicate", "spelling", "oversize")
 
 
 @PROPERTY_SETTINGS
@@ -223,6 +284,8 @@ def test_malformed_files_fail_at_the_earliest_line(n, t, chunk_rows, faults, dat
             records[r] = records[r][:2]
         elif kind == "duplicate":
             records[r][0] = "u0"  # the first unit already has this period
+        elif kind == "oversize":  # the csv module refuses the record
+            records[r][2] = "9" * (csv.field_size_limit() + 1)
         else:
             records[r][1] = data.draw(st.sampled_from((time + ".0", "0" + time, time + "e0")))
     lines = ["unit,time,y"] + [",".join(rec) for rec in records]
