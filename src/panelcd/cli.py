@@ -216,9 +216,8 @@ def _first_non_numeric(cells) -> int:
             return r
 
 
-# Records converted at a time: no cell's string outlives its chunk, so the
-# loader holds the panel's numbers, two label indices per record and one
-# chunk of strings.
+# Records converted at a time by the chunked reader, which holds the panel's
+# numbers, two label indices per record and one chunk of strings.
 CSV_CHUNK_ROWS = 8192
 
 
@@ -259,18 +258,99 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
     ``01``) are refused rather than read as two labels. An intercept column
     is inserted at position 0 unless ``add_intercept`` is False. When a
     file has several faults, the one on the earliest line is reported; a
-    line number is the record index + 2, blank rows included.
+    line number is the record index + 2, blank rows included. A leading
+    UTF-8 byte-order mark is skipped.
 
-    The records are converted in chunks of ``CSV_CHUNK_ROWS``: numbers into
-    float64 blocks, labels into indices in first-seen order, which are
-    remapped to sorted order after the last chunk. Working memory is O(nT):
-    the panel's numbers and two label indices per record, plus one chunk of
-    strings, never one string per cell of the file.
+    The file is first read whole by numpy's C parser, labels as fixed-width
+    bytes. Where that reading cannot be shown to match the csv module's, and
+    on any fault, the file is read again through the csv module in chunks of
+    ``CSV_CHUNK_ROWS`` records; that reader alone reports faults. Working
+    memory is O(nT) on either path: the panel's numbers plus fixed-width
+    label bytes or label indices per record, never one string per cell of
+    the file.
 
     Raises
     ------
     CsvParseError, NonNumericError, UnbalancedPanelError
     """
+    panel = _load_whole(path, add_intercept)
+    return panel if panel is not None else _panel(add_intercept, *_read_chunks(path))
+
+
+def _read_header(reader) -> list:
+    """The header record, stripped; it must start unit,time,y."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvParseError(1, "empty file") from None
+    except csv.Error as exc:
+        raise CsvParseError(1, str(exc)) from None
+    header = [h.strip() for h in header]
+    if len(header) < 3 or [h.lower() for h in header[:3]] != ["unit", "time", "y"]:
+        raise CsvParseError(1, f"header must start with unit,time,y; got {','.join(header)}")
+    return header
+
+
+def _load_whole(path: str, add_intercept: bool) -> Optional[PanelDataset]:
+    """The panel read by numpy's C parser in one call, or None wherever that
+    reading could differ from the chunked reader's, faults included. Labels
+    stay fixed-width bytes; only each column's distinct labels, found by
+    hashing those bytes, become strings."""
+    if not os.path.isfile(path):  # a pipe cannot be read twice
+        return None
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = _read_header(reader)
+            # numpy skips one physical line, and warns on a file of no rows
+            row = next((line for line in fh if line.strip()), "")
+            # bytes kept of each label: whole 64-bit words, at least 16 and more
+            # than the first row's labels; at 32 the records take about twice
+            # the memory they take at 16
+            size = max(16, 8 * (max(map(len, row.split(",")[:2])) // 8 + 1))
+            if reader.line_num != 1 or not row or size > 32:
+                return None
+        # numpy drops a label's trailing NULs and takes fields of any length;
+        # a line break in every full span keeps each field under the limit
+        span = max(csv.field_size_limit() // 2, 1)
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(span), b""):
+                if b"\0" in block or len(block) == span and b"\n" not in block and b"\r" not in block:
+                    return None
+        label = f"S{size}"
+        fields = [("unit", label), ("time", label), ("values", np.float64, (len(header) - 2,))]
+        records = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, skiprows=1,
+                             encoding="utf-8-sig", ndmin=1)
+    except (CsvError, OSError, ValueError):
+        return None
+    words = records.view(np.uint64).reshape(len(records), -1)
+    labels, cols = [], []
+    for c, name in enumerate(("unit", "time")):
+        label_words = words[:, c * size // 8 : (c + 1) * size // 8].T
+        key = np.zeros(len(records), dtype=np.uint64)
+        for word in label_words:
+            key = (key ^ word) * np.uint64(0x9E3779B97F4A7C15)
+        _, first, col = np.unique(key, return_index=True, return_inverse=True)
+        del key  # not held while the panel is placed, where the load peaks
+        raw = records[name][first].tolist()
+        text = [b.decode("latin-1").strip() for b in raw]
+        # a hash shared by two labels; a label maybe cut short, quoted or not
+        # ASCII (numpy reads latin-1); two labels that differ only in padding
+        if (any((word[first][col] != word).any() for word in label_words)
+                or any(len(b) == size or not b.isascii() or b'"' in b for b in raw)
+                or len(set(text)) < len(text)):
+            return None
+        labels.append(text)
+        cols.append(col)
+    try:
+        return _panel(add_intercept, header, labels, cols, [records["values"]])
+    except (CsvError, PanelError):  # a fault's line counts the blank rows numpy skipped
+        return None
+
+
+def _read_chunks(path: str):
+    """The file read by the csv module ``CSV_CHUNK_ROWS`` records at a time,
+    as ``_panel`` takes it, with what ``_panel`` needs to report its faults."""
     label_index = ({}, {})  # unit and time label -> index, in first-seen order
     label_cols = ([], [])  # per chunk, each record's unit and time index
     blocks = []  # per chunk, each record's y, x1..xk
@@ -278,17 +358,9 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
     non_numeric = None  # (record, column, cell) of the earliest non-numeric cell
     stop_fault = None  # the wrong-width row or unreadable record that ended reading
     rows = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(1, "empty file") from None
-        except csv.Error as exc:
-            raise CsvParseError(1, str(exc)) from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or [h.lower() for h in header[:3]] != ["unit", "time", "y"]:
-            raise CsvParseError(1, f"header must start with unit,time,y; got {','.join(header)}")
+        header = _read_header(reader)
         width = len(header)
 
         records = enumerate(reader, start=2)
@@ -327,6 +399,17 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
 
     if not rows:
         raise stop_fault or CsvParseError(2, "no data rows")
+    labels, cols = [list(i) for i in label_index], [np.concatenate(c) for c in label_cols]
+    return header, labels, cols, blocks, blank_lines, non_numeric, stop_fault
+
+
+def _panel(add_intercept, header, found, index, blocks, blank_lines=(), non_numeric=None,
+           stop_fault=None) -> PanelDataset:
+    """The panel from one reading of the file: per label column, the labels
+    ``found`` in any order and each record's ``index`` into them; the
+    records' y, x1..xk rows in blocks, in record order. Raises the fault on
+    the earliest line, the reader's own faults included."""
+    width = len(header)
 
     def line_of(record: int) -> int:
         line = record + 2
@@ -342,18 +425,16 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
         faults.append((r, c, NonNumericError(line_of(r), header[c], value)))
     labels, cols = [], []
     for c, kind in enumerate(("unit", "time")):
-        first_seen = list(label_index[c])
-        col = np.concatenate(label_cols[c])
-        clash = _numeric_clash(first_seen)
+        clash = _numeric_clash(found[c])
         if clash is not None:
-            r = int(np.argmax(col == label_index[c][clash[1]]))
+            r = int(np.argmax(index[c] == found[c].index(clash[1])))
             detail = f"{kind} label {clash[1]!r} equals {clash[0]!r} as a number"
             faults.append((r, c, CsvParseError(line_of(r), detail)))
-        order = sorted(range(len(first_seen)), key=lambda i: _label_key(first_seen[i]))
+        order = sorted(range(len(found[c])), key=lambda i: _label_key(found[c][i]))
         rank = np.empty(len(order), dtype=np.intp)
         rank[order] = np.arange(len(order))
-        labels.append([first_seen[i] for i in order])
-        cols.append(rank[col])
+        labels.append([found[c][i] for i in order])
+        cols.append(rank[index[c]])
     units, times = labels
     n, t = len(units), len(times)
     cell = cols[0] * t + cols[1]
@@ -379,7 +460,7 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
             )
         raise UnbalancedPanelError("unbalanced panel: " + "; ".join(problems))
 
-    placed = np.empty((rows, width - 2))
+    placed = np.empty((len(cell), width - 2))
     start = 0
     for block in blocks:
         placed[cell[start : start + len(block)]] = block

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from panelcd.cli import (
     main,
     parse_args,
 )
-from panelcd import cd_stats
+from panelcd import cd_stats, cli
 from panelcd.correlation import GRID_BLOCK
 from panelcd.dgp import DgpConfig, generate_panel
 from panelcd.panel import fit
@@ -145,6 +146,8 @@ class TestLoadPanelCsv:
                          id="non-numeric-before-oversize"),
             pytest.param(f"a,1,1.0\na,1,2.0\na,2,3.0\na,3,{OVERSIZE}\n", CsvParseError, 3,
                          id="duplicate-before-oversize"),
+            # numpy's parser takes a field of any length
+            pytest.param(f"a,1,1.0\na,2,0.{OVERSIZE}\n", CsvParseError, 3, id="finite-oversize"),
         ],
     )
     def test_fault_line_numbers(self, tmp_path, body, error, line):
@@ -210,6 +213,52 @@ class TestLoadPanelCsv:
             panel = load_panel_csv(str(f))
             assert panel.time_ids == ("1", "2", "nan")
             np.testing.assert_array_equal(panel.y, [[0, 1, 2], [10, 11, 12], [20, 21, 22]])
+
+    @pytest.mark.parametrize("reader", ["default", "chunked"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, reader):
+        # spreadsheet exports often start with one
+        if reader == "chunked":
+            monkeypatch.setattr(cli, "_load_whole", lambda path, add_intercept: None)
+        f = tmp_path / "p.csv"
+        f.write_text("\ufeffunit,time,y,x1\na,1,1.0,0.5\na,2,2.0,0.25\n", encoding="utf-8")
+        panel = load_panel_csv(str(f))
+        assert panel.unit_ids == ("a",) and panel.time_ids == ("1", "2")
+        np.testing.assert_array_equal(panel.x[0, :, 1], [0.5, 0.25])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path):
+        fifo = tmp_path / "p.csv"
+        os.mkfifo(fifo)
+        loaded = []
+        reader = threading.Thread(target=lambda: loaded.append(load_panel_csv(str(fifo))),
+                                  daemon=True)
+        reader.start()
+        fifo.write_text("unit,time,y\na,1,1.0\na,2,2.0\n", encoding="utf-8")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert loaded[0].time_ids == ("1", "2")
+
+    # labels as dumped, and 17-character unit labels in the same order
+    @pytest.mark.parametrize("unit", [str, lambda u: f"firm-{int(u):012d}"],
+                             ids=["dumped", "17-character"])
+    def test_clean_dump_takes_the_whole_file_reader(self, tmp_path, monkeypatch, unit):
+        def chunked(*args):
+            raise AssertionError("the chunked reader ran")
+
+        monkeypatch.setattr(cli, "_convert_chunk", chunked)
+        gen = generate_panel(DgpConfig(dgp=2, t=12, n=30, k=3, seed=5))
+        out = tmp_path / "dump.csv"
+        assert main(["dump-dgp", "--dgp", "2", "--T", "12", "--n", "30", "--k", "3",
+                     "--seed", "5", "--output", str(out)]) == 0
+        header, *rows = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        out.write_text(header + "".join(unit(u) + "," + rest
+                                        for u, rest in (r.split(",", 1) for r in rows)),
+                       encoding="utf-8")
+        loaded = load_panel_csv(str(out))
+        assert loaded.y.tobytes() == gen.panel.y.tobytes()
+        assert loaded.x.tobytes() == gen.panel.x.tobytes()
+        assert loaded.unit_ids == tuple(map(unit, gen.panel.unit_ids))
+        assert loaded.time_ids == gen.panel.time_ids
 
     def test_round_trip_is_bitwise(self, tmp_path):
         gen = generate_panel(DgpConfig(dgp=1, t=15, n=5, k=3, seed=21))
@@ -305,6 +354,17 @@ class TestEndToEnd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err and f"unit {fields[0]}, time {fields[1]}" in captured.err
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n  \r\n"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, capsys, body):
+        data = tmp_path / "p.csv"
+        data.write_text("unit,time,y,x1\n" + body, encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["test", "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "panelcd: error: line 2: no data rows\n"
 
     def test_oversized_field_is_refused_with_its_line(self, tmp_path, capsys):
         data = tmp_path / "p.csv"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panelcd import cli
@@ -206,8 +206,10 @@ def ordered_labels(draw, count):
 
 
 @PROPERTY_SETTINGS
-@given(panel=raw_panels(), data=st.data())
-def test_order_preserving_relabelling_gives_the_same_panel(panel, data):
+@given(panel=raw_panels(), chunk_rows=st.integers(1, 4), data=st.data())
+def test_order_preserving_relabelling_gives_the_same_panel(panel, chunk_rows, data):
+    # read by the csv module, so that labels first seen in different chunks
+    # are ranked together
     units = data.draw(ordered_labels(panel.n))
     times = data.draw(ordered_labels(panel.t))
     start = int(panel.has_intercept)
@@ -220,16 +222,17 @@ def test_order_preserving_relabelling_gives_the_same_panel(panel, data):
     writer = csv.writer(out)  # quotes a label holding the delimiter, a quote, CR or LF
     writer.writerow(["unit", "time", "y"] + [f"x{j}" for j in range(1, panel.k - start + 1)])
     writer.writerows(data.draw(st.permutations(rows)))
-    loaded = _load_text(out.getvalue(), panel.has_intercept)
+    loaded = _load_chunked(out.getvalue(), chunk_rows, panel.has_intercept)
     assert loaded.unit_ids == tuple(units) and loaded.time_ids == tuple(times)
     assert loaded.y.tobytes() == panel.y.tobytes()
     assert loaded.x.shape == panel.x.shape and loaded.x.tobytes() == panel.x.tobytes()
 
 
 def _load_chunked(text, chunk_rows, add_intercept=True):
-    """``load_panel_csv`` on ``text`` with ``chunk_rows`` records per chunk;
-    the panel, or the error it raised."""
+    """``load_panel_csv`` on ``text`` read by the csv module with
+    ``chunk_rows`` records per chunk; the panel, or the error it raised."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_load_whole", lambda path, add_intercept: None)
         mp.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
         try:
             return _load_text(text, add_intercept)
@@ -304,3 +307,101 @@ def test_malformed_files_fail_at_the_earliest_line(n, t, chunk_rows, faults, dat
     assert err.line == line and str(err).startswith(f"line {line}")
     one = _load_chunked(text, len(lines))
     assert type(err) is type(one) and str(err) == str(one)
+
+
+# labels the whole-file reader must decline or read exactly as the csv
+# module does: above 2^53, one number spelled two ways, wider than its label
+# bytes, not ASCII, NaN spellings, padded, holding '#', a quote, a comma or NUL
+ODD_LABELS = (
+    "9007199254740992", "9007199254740993", "18446744073709551617", "1", "01", "1.0", "1e0",
+    "x" * 15, "y" * 16, "z" * 40, "é", "ü1", "€", "nan", "NaN", " p", "p ", "p", "a#b", "#",
+    'q"t', "Smith, J", "", "n\0", "\0",
+)
+
+# cell spellings the C parser and ``float`` may read differently
+ODD_CELLS = (
+    "1_0", "１", "0x10", "inf", "-Infinity", "iNf", "nan", "-nan", "+NaN", "1e400", "oops", "",
+    " ", '"2.5"',
+)
+
+
+def _quote(field):
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+@st.composite
+def csv_texts(draw):
+    """A panel CSV in the long schema with some of the oddities either
+    reader may meet: odd labels, numbers spelled several ways, a few padded,
+    quoted or odd cells, blank and whitespace-only rows, a gap or a
+    duplicate, and \n, \r\n or lone \r line endings."""
+    n, t, k_raw = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    label = st.one_of(st.integers(-99, 2**64).map(str), st.text("abXY#.-_ ", max_size=6))
+    if draw(st.booleans()):
+        label = st.one_of(label, st.sampled_from(ODD_LABELS),
+                          st.text(st.characters(blacklist_categories=("Cs",)), max_size=4))
+    units = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    times = draw(st.lists(label, min_size=t, max_size=t, unique=True))
+    doubles = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [
+        [_quote(u), _quote(s)] + [
+            draw(st.sampled_from((repr(v), format(v, ".17e"), format(v, ".17G"))))
+            for v in draw(st.lists(doubles, min_size=1 + k_raw, max_size=1 + k_raw))
+        ]
+        for u in units
+        for s in times
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        c = draw(st.integers(0, len(row) - 1))
+        f = row[c]
+        odd = st.sampled_from((f" {f}", f"{f}\t", f" {f} ", f'"{f}"'))
+        row[c] = draw(st.one_of(odd, st.sampled_from(ODD_CELLS)) if c >= 2 else odd)
+    rows = draw(st.permutations([",".join(row) for row in rows]))
+    if draw(st.integers(0, 4)) == 0:
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    elif rows and draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(("", "", "  ", "\t"))))
+    header = "unit,time,y" + "".join(f",x{j}" for j in range(1, k_raw + 1))
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return end.join([header] + rows) + end
+
+
+def _outcome(text, add_intercept, chunked):
+    """The panel ``load_panel_csv`` reads from ``text``, or the error it raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunked:
+            mp.setattr(cli, "_load_whole", lambda path, add_intercept: None)
+        try:
+            return _load_text(text, add_intercept)
+        except (CsvError, PanelError, ValueError) as exc:
+            return exc
+
+
+def _two_periods(label, end="\n"):
+    return end.join(["unit,time,y", f"{label},1,1.5", f"{label},2,2.5", ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts(), add_intercept=st.booleans())
+@example(text=_two_periods("n\0"), add_intercept=True)
+@example(text=_two_periods("a").replace("a,1", " a,1"), add_intercept=True)
+@example(text="unit,time,y\n a,1,1.5\na,1,2.5\n", add_intercept=True)
+@example(text=_two_periods("x" * 15), add_intercept=True)
+@example(text=_two_periods("x" * 17), add_intercept=True)
+@example(text="unit,time,y\na,1,1.5\n" + "x" * 17 + ",1,2.5\n", add_intercept=True)
+@example(text=_two_periods("z" * 40), add_intercept=True)
+@example(text=_two_periods('"q""t"'), add_intercept=True)
+@example(text=_two_periods("é", "\r\n"), add_intercept=True)
+@example(text=_two_periods("#a", "\r"), add_intercept=False)
+def test_whole_file_reader_agrees_with_the_chunked_reader(text, add_intercept):
+    loaded = _outcome(text, add_intercept, chunked=False)
+    chunked = _outcome(text, add_intercept, chunked=True)
+    if isinstance(chunked, Exception):
+        assert type(loaded) is type(chunked) and str(loaded) == str(chunked)
+    else:
+        _assert_same_panel(loaded, chunked)
