@@ -23,6 +23,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from decimal import Decimal
 from typing import Optional, Sequence, Union
@@ -291,6 +292,10 @@ def _read_header(reader) -> list:
     return header
 
 
+# a whitespace-only row; a literal first byte lets the search skip ahead to it
+_BLANK_ROWS = [re.compile(brk + rb"[ \t]+(?=[\r\n])") for brk in (rb"\n", rb"\r")]
+
+
 def _load_whole(path: str, add_intercept: bool) -> Optional[PanelDataset]:
     """The panel read by numpy's C parser in one call, or None wherever that
     reading could differ from the chunked reader's, faults included. Labels
@@ -310,13 +315,22 @@ def _load_whole(path: str, add_intercept: bool) -> Optional[PanelDataset]:
             size = max(16, 8 * (max(map(len, row.split(",")[:2])) // 8 + 1))
             if reader.line_num != 1 or not row or size > 32:
                 return None
-        # numpy drops a label's trailing NULs and takes fields of any length;
-        # a line break in every full span keeps each field under the limit
+        # numpy drops a label's trailing NULs and takes fields of any length; a line
+        # break in every full span keeps each field under the limit. A quote, non-ASCII
+        # byte or whitespace-only row after the header is declined before the parse
         span = max(csv.field_size_limit() // 2, 1)
+        line = None  # the unfinished line from its line break on; None in the header
         with open(path, "rb") as fh:
             for block in iter(lambda: fh.read(span), b""):
                 if b"\0" in block or len(block) == span and b"\n" not in block and b"\r" not in block:
                     return None
+                text = block[re.search(rb"[\r\n]", block).start():] if line is None else line + block
+                blank = (b" " in text or b"\t" in text) and any(r.search(text) for r in _BLANK_ROWS)
+                if blank or b'"' in text or not text.isascii():
+                    return None
+                line = text[max(text.rfind(b"\n"), text.rfind(b"\r")):]
+        if any(r.search(line + b"\n") for r in _BLANK_ROWS):
+            return None
         label = f"S{size}"
         fields = [("unit", label), ("time", label), ("values", np.float64, (len(header) - 2,))]
         records = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, skiprows=1,

@@ -151,32 +151,55 @@ def _run_task(plan: ExperimentPlan, task) -> RepOutcome:
     return run_replication(plan.cells[cell_index], plan.tests, plan.alpha, rng)
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: run this worker's OpenBLAS on one thread.
-
-    A forked worker keeps the parent's BLAS thread count, so two workers on
-    two cores would run four BLAS threads between them. The library is the
-    one numpy mapped into the process (found in ``/proc/self/maps``); where
-    there is none, or it has no set-threads symbol, this does nothing.
-    """
+def _pin_heap() -> None:
+    """Pin glibc's mmap threshold at 32 MiB, its dynamic rule's 64-bit ceiling,
+    and the trim threshold at twice that, as the rule keeps them. Replications
+    then reuse freed heap instead of faulting in fresh mappings. Either call
+    turns the rule off, so both are made or neither; without ``mallopt``
+    this does nothing."""
     import ctypes
 
     try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    if mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD; glibc's M_TRIM_THRESHOLD cannot fail
+        mallopt(-1, 64 << 20)
+
+
+def _blas_paths(maps_lines) -> list:
+    """The OpenBLAS libraries named in ``/proc/self/maps`` lines: the whole
+    pathname field, less a `` (deleted)`` suffix, absolute paths only."""
+    fields = (line.rstrip("\n").split(maxsplit=5)[5:] for line in maps_lines)
+    paths = {f[0].removesuffix(" (deleted)") for f in fields if f}
+    return sorted(p for p in paths if p.startswith("/") and "openblas" in p.lower() and ".so" in p)
+
+
+def _init_worker() -> None:
+    """Pool initializer: pin the heap, and run this worker's OpenBLAS on one
+    thread. A forked worker keeps the parent's BLAS thread count, so two
+    workers on two cores would run four BLAS threads between them. The
+    library is the one numpy mapped into the process (``/proc/self/maps``);
+    where none loads or it has no set-threads symbol, nothing changes."""
+    import ctypes
+
+    _pin_heap()
+    try:
         with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+            paths = _blas_paths(fh)
     except OSError:
         return
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for symbol in (
-            "scipy_openblas_set_num_threads64_",
-            "openblas_set_num_threads64_",
-            "openblas_set_num_threads",
-        ):
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
+                fn.argtypes, fn.restype = [ctypes.c_int], None
                 fn(1)
                 return
 
@@ -188,15 +211,18 @@ def run_experiment(plan: ExperimentPlan) -> RejectionReport:
     report does not depend on the worker count. Each pool worker runs BLAS
     on one thread, so the workers share the cores instead of
     oversubscribing them; the calling process keeps its own setting.
+    The calling process and every worker pin glibc's malloc thresholds
+    (``_pin_heap``), and the calling process keeps them after this returns.
     """
     start = time.perf_counter()
+    _pin_heap()
     tasks = [(ci, ri) for ci in range(len(plan.cells)) for ri in range(plan.reps)]
     if plan.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
 
         chunk = max(1, len(tasks) // (plan.workers * 8))
-        with ProcessPoolExecutor(max_workers=plan.workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=plan.workers, initializer=_init_worker) as pool:
             outcomes = list(pool.map(partial(_run_task, plan), tasks, chunksize=chunk))
     else:
         outcomes = [_run_task(plan, task) for task in tasks]

@@ -260,6 +260,44 @@ class TestLoadPanelCsv:
         assert loaded.unit_ids == tuple(map(unit, gen.panel.unit_ids))
         assert loaded.time_ids == gen.panel.time_ids
 
+    # the benchmark's cli-test-large shape with one row of two spaces, a row of
+    # tabs and blanks, an unended last row of spaces, or one quoted label: each
+    # goes to the chunked reader without numpy parsing the file first
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:-1] + ["  \n"] + rows[-1:],
+        lambda rows: rows[:1] + ["\t \t\n"] + rows[1:],
+        lambda rows: rows + ["  "],
+        lambda rows: rows[:-1] + ['"' + rows[-1].replace(",", '",', 1)],
+    ], ids=["spaces", "tabs", "last-unended", "quoted"])
+    def test_declined_file_is_not_parsed_first(self, tmp_path, monkeypatch, edit):
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("numpy parsed the file")
+
+        gen = generate_panel(DgpConfig(dgp=2, t=100, n=1000, k=3, seed=1))
+        out = tmp_path / "dump.csv"
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            dump_panel_csv(gen.panel, fh)
+        rows = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        out.write_text("".join(edit(rows)), encoding="utf-8")
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        loaded = load_panel_csv(str(out))
+        assert loaded.y.tobytes() == gen.panel.y.tobytes()
+        assert loaded.x.tobytes() == gen.panel.x.tobytes()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_labels_padded_on_every_row_take_the_whole_file_reader(self, tmp_path, monkeypatch,
+                                                                   end):
+        def chunked(*args):
+            raise AssertionError("the chunked reader ran")
+
+        monkeypatch.setattr(cli, "_convert_chunk", chunked)
+        f = tmp_path / "p.csv"
+        rows = [f" {u}, {t},{10 * u + t}" for u in range(1, 4) for t in range(1, 3)]
+        f.write_bytes(end.join(["\ufeffunit,time,y"] + rows + [""]).encode())
+        panel = load_panel_csv(str(f))
+        assert panel.unit_ids == ("1", "2", "3") and panel.time_ids == ("1", "2")
+        np.testing.assert_array_equal(panel.y, [[11, 12], [21, 22], [31, 32]])
+
     def test_round_trip_is_bitwise(self, tmp_path):
         gen = generate_panel(DgpConfig(dgp=1, t=15, n=5, k=3, seed=21))
         out = tmp_path / "dump.csv"
