@@ -17,6 +17,12 @@ RLM_PE    standardized tr(R^4), the power-enhanced variant
 T in every formula is the effective residual sample length (so dynamic
 fits use T-1 throughout), and k is the effective per-unit regressor count
 including the lag column.
+
+Each statistic function decides its own entry and never raises for a
+limit of its statistic: a finite statistic and p-value give status "ok",
+a test that does not apply to the residuals gives "unsupported", and a
+non-finite result or a sample too short for the statistic gives "failed",
+each with its reason in ``message``. :func:`run_all` only dispatches.
 """
 
 from __future__ import annotations
@@ -43,10 +49,6 @@ ALL_TESTS = ("LM", "CD_LM", "CD_P", "LM_bc", "LM_adj", "LM_RMT", "RLM", "RLM_PE"
 P_FLOOR = 1e-300
 
 
-class TestComputationError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """Which tests to run and at what significance level."""
@@ -68,10 +70,11 @@ class TestConfig:
 class TestResult:
     """One statistic with its reference distribution and decision.
 
-    ``status`` is "ok" for a computed statistic, "unsupported" when the
-    test does not apply to the supplied residuals, and "failed" when an
-    upstream error prevented computation; in the last two cases the
-    statistic and p-value are NaN and ``reject`` is False.
+    ``status`` is "ok" for a finite statistic and p-value, "unsupported"
+    when the test does not apply to the supplied residuals, and "failed"
+    when the statistic could not be computed or came out non-finite; in the
+    last two cases ``message`` gives the reason, the statistic and p-value
+    are NaN and ``reject`` is False.
     """
 
     name: str
@@ -94,7 +97,6 @@ class NullConstants:
     sigma0: float
     mu_pe: float
     sigma_pe: float
-    c_t: float
 
 
 def null_constants(n: int, t_eff: int) -> NullConstants:
@@ -124,7 +126,7 @@ def null_constants(n: int, t_eff: int) -> NullConstants:
     sigma_pe = np.sqrt(
         8.0 * c**2 + 96.0 * c**3 * (1.0 + c) ** 2 + 16.0 * c**2 * (3.0 * c**2 + 8.0 * c + 3.0) ** 2
     )
-    return NullConstants(mu0=mu0, sigma0=sigma0, mu_pe=mu_pe, sigma_pe=float(sigma_pe), c_t=c)
+    return NullConstants(mu0=mu0, sigma0=sigma0, mu_pe=mu_pe, sigma_pe=float(sigma_pe))
 
 
 def normal_sf(z: float) -> float:
@@ -228,142 +230,34 @@ def chi2_sf(x: float, df: float) -> float:
     return math.nan
 
 
-def _clamp(p: float) -> float:
-    return min(max(float(p), P_FLOOR), 1.0)
+def _result(
+    name: str, stat: float, alpha: float, sided: str = "upper", df: Optional[int] = None
+) -> TestResult:
+    """The entry of one computed statistic, the only way an ``ok`` entry is made.
 
-
-def _normal_result(name: str, stat: float, sided: str, alpha: float) -> TestResult:
-    if sided == "upper":
-        p = _clamp(normal_sf(stat))
+    The p-value is the chi-squared(``df``) upper tail when ``df`` is given,
+    else the standard normal tail, upper or two-sided (``sided="two"``). It
+    is clamped to [``P_FLOOR``, 1]. A statistic or p-value that is not
+    finite gives a ``failed`` entry that quotes both.
+    """
+    stat = float(stat)
+    if df is not None:
+        p = chi2_sf(stat, df)
     else:
-        p = _clamp(2.0 * normal_sf(abs(stat)))
+        p = normal_sf(stat) if sided == "upper" else 2.0 * normal_sf(abs(stat))
+    p = min(max(p, P_FLOOR), 1.0)
+    if not (math.isfinite(stat) and math.isfinite(p)):
+        return _failure(name, alpha, "failed", f"non-finite result: statistic {stat!r}, p-value {p!r}")
     return TestResult(
         name=name,
-        statistic=float(stat),
-        null_dist="normal",
-        df=None,
+        statistic=stat,
+        null_dist="normal" if df is None else "chi2",
+        df=df,
         sided=sided,
         p_value=p,
         reject=p < alpha,
         alpha=alpha,
     )
-
-
-def lm_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
-    """Sum-of-squared-correlations statistic against chi-squared(n(n-1)/2)."""
-    n, t = stats.n, stats.t_eff
-    stat = 0.5 * t * (stats.tr_r2 - n)
-    df = n * (n - 1) // 2
-    p = _clamp(chi2_sf(stat, df))
-    return TestResult(
-        name="LM",
-        statistic=float(stat),
-        null_dist="chi2",
-        df=df,
-        sided="upper",
-        p_value=p,
-        reject=p < alpha,
-        alpha=alpha,
-    )
-
-
-def cd_lm_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
-    """Scaled LM statistic, standard normal, upper one-sided."""
-    n, t = stats.n, stats.t_eff
-    stat = np.sqrt(t * t / (4.0 * n * (n - 1))) * (stats.tr_r2 - n - n * (n - 1) / t)
-    return _normal_result("CD_LM", stat, "upper", alpha)
-
-
-def cd_p_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
-    """Scaled sum of raw pair correlations, standard normal, two-sided."""
-    n, t = stats.n, stats.t_eff
-    stat = np.sqrt(t / (2.0 * n * (n - 1))) * stats.offdiag_sum
-    return _normal_result("CD_P", stat, "two", alpha)
-
-
-def lm_bc_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
-    """Bias-corrected CD_LM: shifts the statistic down by n/(2(T-1))."""
-    n, t = stats.n, stats.t_eff
-    stat = cd_lm_stat(stats, alpha).statistic - n / (2.0 * (t - 1))
-    return _normal_result("LM_bc", stat, "upper", alpha)
-
-
-def rlm_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
-    """Standardized tr(R^2) under the proportional (n/T -> c) limit."""
-    nc = null_constants(stats.n, stats.t_eff)
-    stat = (stats.tr_r2 - nc.mu0) / nc.sigma0
-    return _normal_result("RLM", stat, "upper", alpha)
-
-
-def rlm_pe_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
-    """Standardized tr(R^4); emphasizes large individual correlations."""
-    nc = null_constants(stats.n, stats.t_eff)
-    stat = (stats.tr_r4 - nc.mu_pe) / nc.sigma_pe
-    return _normal_result("RLM_PE", stat, "upper", alpha)
-
-
-def rmt_centering(n: int, t: int) -> float:
-    """Centering constant of the alternative recentred trace statistic."""
-    return n + n * n / t + n * n / (t * t) - n / t
-
-
-def lm_rmt_stat(stats: TraceStats, k_eff: int, alpha: float = 0.05) -> TestResult:
-    """Recentred trace statistic, standard normal, upper one-sided.
-
-    The scale is that of the recentred trace's variance at the Gaussian
-    kurtosis point, which is exactly 4 c_T^2: the RLM scale ``sigma0``. The
-    finite-sample kurtosis plug-in distorts the scale by 30 percent or more
-    at desk sizes and breaks the near-identity with the standardized tr(R^2)
-    statistic, so it is not used.
-    """
-    n, t = stats.n, stats.t_eff
-    if t <= k_eff + 2:
-        raise TestComputationError(f"LM_RMT needs T > k+2, got T={t}, k={k_eff}")
-    stat = (stats.tr_r2 - rmt_centering(n, t)) / null_constants(n, t).sigma0
-    return _normal_result("LM_RMT", stat, "upper", alpha)
-
-
-def lm_adj_stat(
-    corr: CorrelationMatrix,
-    bases: np.ndarray,
-    t_eff: int,
-    k_eff: int,
-    alpha: float = 0.05,
-) -> TestResult:
-    """Moment-adjusted LM statistic, standard normal, upper one-sided.
-
-    Each squared correlation is centred and scaled by the exact moments
-    implied by the pair of unit designs, then summed over all ordered
-    pairs i != j. The terms are symmetric, so each unordered pair is taken
-    once and counted twice. The pairs come in the square tiles of
-    :func:`projection_moment_grids`, each tile's correlations read through
-    ``corr.block`` and reduced to a running sum as it comes. Working memory
-    is O(nTk) plus fixed-size tiles: no n x n array of moments or terms is
-    formed, nor of correlations when ``corr`` keeps its unit-norm rows.
-
-    Parameters
-    ----------
-    corr : CorrelationMatrix
-    bases : ndarray, shape (n, T_eff, k_eff)
-        Orthonormal per-unit design bases retained at fit time.
-    t_eff, k_eff : int
-        Effective sample length and regressor count of the fit. LM_adj needs
-        T_eff - k_eff >= 2: at one residual degree of freedom every M_i has
-        rank one, so (T - k) rho_ij^2 equals mu_ij and its variance is 0.
-    """
-    if bases is None:
-        raise TestComputationError("residuals were fitted without basis retention")
-    if t_eff - k_eff < 2:
-        raise TestComputationError(f"LM_adj needs T > k+1, got T={t_eff}, k={k_eff}")
-    n = corr.n
-    total = 0.0  # over unordered pairs i < j
-    for rows, cols, mu, sigma in projection_moment_grids(bases, t_eff, k_eff):
-        z = ((t_eff - k_eff) * corr.block(rows, cols) ** 2 - mu) / sigma
-        if rows == cols:
-            z = z[np.triu_indices(len(z), 1)]
-        total += float(z.sum())
-    stat = np.sqrt(1.0 / (2.0 * n * (n - 1))) * (2.0 * total)
-    return _normal_result("LM_adj", stat, "upper", alpha)
 
 
 def _failure(name: str, alpha: float, status: str, message: str) -> TestResult:
@@ -381,25 +275,112 @@ def _failure(name: str, alpha: float, status: str, message: str) -> TestResult:
     )
 
 
-def _lm_adj_entry(corr: CorrelationMatrix, resid: ResidualMatrix, alpha: float) -> TestResult:
+def lm_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
+    """Sum-of-squared-correlations statistic against chi-squared(n(n-1)/2)."""
+    n, t = stats.n, stats.t_eff
+    return _result("LM", 0.5 * t * (stats.tr_r2 - n), alpha, df=n * (n - 1) // 2)
+
+
+def _cd_lm(stats: TraceStats) -> float:
+    """CD_LM's raw statistic. LM_bc shifts this rather than CD_LM's entry,
+    whose statistic is NaN once that entry has failed."""
+    n, t = stats.n, stats.t_eff
+    return np.sqrt(t * t / (4.0 * n * (n - 1))) * (stats.tr_r2 - n - n * (n - 1) / t)
+
+
+def cd_lm_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
+    """Scaled LM statistic, standard normal, upper one-sided."""
+    return _result("CD_LM", _cd_lm(stats), alpha)
+
+
+def cd_p_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
+    """Scaled sum of raw pair correlations, standard normal, two-sided."""
+    n, t = stats.n, stats.t_eff
+    return _result("CD_P", np.sqrt(t / (2.0 * n * (n - 1))) * stats.offdiag_sum, alpha, "two")
+
+
+def lm_bc_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
+    """Bias-corrected CD_LM: shifts the statistic down by n/(2(T-1))."""
+    return _result("LM_bc", _cd_lm(stats) - stats.n / (2.0 * (stats.t_eff - 1)), alpha)
+
+
+def rlm_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
+    """Standardized tr(R^2) under the proportional (n/T -> c) limit."""
+    nc = null_constants(stats.n, stats.t_eff)
+    return _result("RLM", (stats.tr_r2 - nc.mu0) / nc.sigma0, alpha)
+
+
+def rlm_pe_stat(stats: TraceStats, alpha: float = 0.05) -> TestResult:
+    """Standardized tr(R^4); emphasizes large individual correlations."""
+    nc = null_constants(stats.n, stats.t_eff)
+    return _result("RLM_PE", (stats.tr_r4 - nc.mu_pe) / nc.sigma_pe, alpha)
+
+
+def rmt_centering(n: int, t: int) -> float:
+    """Centering constant of the alternative recentred trace statistic."""
+    return n + n * n / t + n * n / (t * t) - n / t
+
+
+def lm_rmt_stat(stats: TraceStats, k_eff: int, alpha: float = 0.05) -> TestResult:
+    """Recentred trace statistic, standard normal, upper one-sided; ``failed``
+    unless T > k+2.
+
+    The scale is that of the recentred trace's variance at the Gaussian
+    kurtosis point, which is exactly 4 c_T^2: the RLM scale ``sigma0``. The
+    finite-sample kurtosis plug-in distorts the scale by 30 percent or more
+    at desk sizes and breaks the near-identity with the standardized tr(R^2)
+    statistic, so it is not used.
+    """
+    n, t = stats.n, stats.t_eff
+    if t <= k_eff + 2:
+        return _failure("LM_RMT", alpha, "failed", f"LM_RMT needs T > k+2, got T={t}, k={k_eff}")
+    return _result("LM_RMT", (stats.tr_r2 - rmt_centering(n, t)) / null_constants(n, t).sigma0, alpha)
+
+
+def lm_adj_stat(corr: CorrelationMatrix, resid: ResidualMatrix, alpha: float = 0.05) -> TestResult:
+    """Moment-adjusted LM statistic, standard normal, upper one-sided.
+
+    Each squared correlation is centred and scaled by the exact moments
+    implied by the pair of unit designs, then summed over all ordered
+    pairs i != j. The terms are symmetric, so each unordered pair is taken
+    once and counted twice. The pairs come in the square tiles of
+    :func:`projection_moment_grids`, each tile's correlations read through
+    ``corr.block`` and reduced to a running sum as it comes. Working memory
+    is O(nTk) plus fixed-size tiles: no n x n array of moments or terms is
+    formed, nor of correlations when ``corr`` keeps its unit-norm rows.
+
+    The design bases (n, T_eff, k_eff), T_eff, k_eff and the estimator are
+    read from ``resid``, whose residuals ``corr`` correlates. The entry is
+    ``unsupported`` for within-estimator residuals, which have no per-unit
+    designs, and for a fit that kept no bases. It is ``failed`` when
+    T_eff - k_eff < 2: at one residual degree of freedom every M_i has rank
+    one, so (T - k) rho_ij^2 equals mu_ij and its variance is 0.
+    """
     if resid.estimator is ModelKind.FIXED_EFFECTS:
         return _failure(
-            "LM_adj",
-            alpha,
-            "unsupported",
-            "no design-pair moments exist for within-estimator residuals",
+            "LM_adj", alpha, "unsupported", "no design-pair moments exist for within-estimator residuals"
         )
-    if resid.ortho_bases is None:
+    bases, t_eff, k_eff = resid.ortho_bases, resid.t_eff, resid.k_eff
+    if bases is None:
         return _failure("LM_adj", alpha, "unsupported", "fit retained no design bases")
-    return lm_adj_stat(corr, resid.ortho_bases, resid.t_eff, resid.k_eff, alpha)
+    if t_eff - k_eff < 2:
+        return _failure("LM_adj", alpha, "failed", f"LM_adj needs T > k+1, got T={t_eff}, k={k_eff}")
+    n = corr.n
+    total = 0.0  # over unordered pairs i < j
+    for rows, cols, mu, sigma in projection_moment_grids(bases, t_eff, k_eff):
+        z = ((t_eff - k_eff) * corr.block(rows, cols) ** 2 - mu) / sigma
+        if rows == cols:
+            z = z[np.triu_indices(len(z), 1)]
+        total += float(z.sum())
+    return _result("LM_adj", np.sqrt(1.0 / (2.0 * n * (n - 1))) * (2.0 * total), alpha)
 
 
 def run_all(resid: ResidualMatrix, cfg: TestConfig) -> list[TestResult]:
     """Run the requested battery on one residual matrix.
 
     The correlation matrix and its trace statistics are computed once and
-    shared. Per-test problems (unsupported model, missing bases, numeric
-    errors, a non-finite statistic or p-value) become failure entries; the
+    shared. Each statistic decides its own entry; a residual matrix that
+    has no correlation matrix makes every requested entry ``failed``. The
     batch itself never aborts.
     """
     requested = [t for t in ALL_TESTS if t in cfg.tests]
@@ -417,19 +398,9 @@ def run_all(resid: ResidualMatrix, cfg: TestConfig) -> list[TestResult]:
         "CD_LM": lambda: cd_lm_stat(stats, alpha),
         "CD_P": lambda: cd_p_stat(stats, alpha),
         "LM_bc": lambda: lm_bc_stat(stats, alpha),
-        "LM_adj": lambda: _lm_adj_entry(corr, resid, alpha),
+        "LM_adj": lambda: lm_adj_stat(corr, resid, alpha),
         "LM_RMT": lambda: lm_rmt_stat(stats, resid.k_eff, alpha),
         "RLM": lambda: rlm_stat(stats, alpha),
         "RLM_PE": lambda: rlm_pe_stat(stats, alpha),
     }
-    results: list[TestResult] = []
-    for name in requested:
-        try:
-            res = battery[name]()
-        except TestComputationError as exc:
-            res = _failure(name, alpha, "failed", str(exc))
-        if res.status == "ok" and not (math.isfinite(res.statistic) and math.isfinite(res.p_value)):
-            detail = f"non-finite result: statistic {res.statistic!r}, p-value {res.p_value!r}"
-            res = _failure(name, alpha, "failed", detail)
-        results.append(res)
-    return results
+    return [battery[name]() for name in requested]

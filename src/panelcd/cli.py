@@ -313,11 +313,12 @@ def _load_whole(path: str, add_intercept: bool) -> Optional[PanelDataset]:
             # than the first row's labels; at 32 the records take about twice
             # the memory they take at 16
             size = max(16, 8 * (max(map(len, row.split(",")[:2])) // 8 + 1))
-            if reader.line_num != 1 or not row or size > 32:
+            if not row or size > 32:
                 return None
         # numpy drops a label's trailing NULs and takes fields of any length; a line
         # break in every full span keeps each field under the limit. A quote, non-ASCII
-        # byte or whitespace-only row after the header is declined before the parse
+        # byte or whitespace-only row after the header's first line break is declined
+        # before the parse, so the header is one line and every label is plain ASCII
         span = max(csv.field_size_limit() // 2, 1)
         line = None  # the unfinished line from its line break on; None in the header
         with open(path, "rb") as fh:
@@ -347,11 +348,11 @@ def _load_whole(path: str, add_intercept: bool) -> Optional[PanelDataset]:
         _, first, col = np.unique(key, return_index=True, return_inverse=True)
         del key  # not held while the panel is placed, where the load peaks
         raw = records[name][first].tolist()
-        text = [b.decode("latin-1").strip() for b in raw]
-        # a hash shared by two labels; a label maybe cut short, quoted or not
-        # ASCII (numpy reads latin-1); two labels that differ only in padding
+        text = [b.decode("ascii").strip() for b in raw]
+        # a hash shared by two labels; a label maybe cut short; two labels that
+        # differ only in padding
         if (any((word[first][col] != word).any() for word in label_words)
-                or any(len(b) == size or not b.isascii() or b'"' in b for b in raw)
+                or any(len(b) == size for b in raw)
                 or len(set(text)) < len(text)):
             return None
         labels.append(text)

@@ -176,19 +176,16 @@ def _maybe_loadings(cfg: DgpConfig, rng: np.random.Generator) -> Optional[np.nda
     return gen_loadings(cfg.alternative, cfg.n, rng, cfg.h)
 
 
-def _assemble(y: np.ndarray, x_cols, n: int, t: int, has_intercept: bool) -> PanelDataset:
-    k = 1 + len(x_cols) if has_intercept else len(x_cols)
-    x = np.empty((n, t, k))
-    pos = 0
-    if has_intercept:
-        x[:, :, 0] = 1.0
-        pos = 1
-    for col in x_cols:
+def _assemble(y: np.ndarray, x_cols) -> PanelDataset:
+    """The panel of response ``y`` (n, T) with an intercept, then ``x_cols``."""
+    n, t = y.shape
+    x = np.empty((n, t, 1 + len(x_cols)))
+    x[:, :, 0] = 1.0
+    for pos, col in enumerate(x_cols, start=1):
         x[:, :, pos] = col
-        pos += 1
     units = tuple(str(i) for i in range(1, n + 1))
     times = tuple(str(s) for s in range(1, t + 1))
-    return PanelDataset(y=y, x=x, unit_ids=units, time_ids=times, has_intercept=has_intercept)
+    return PanelDataset(y=y, x=x, unit_ids=units, time_ids=times)
 
 
 def gen_dgp1(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
@@ -201,7 +198,7 @@ def gen_dgp1(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     xreg = _ar1(_ar_innovations(n, k - 1, p + t, rng))[:, :, p:]
     v = _disturbances(cfg, n, t, rng, lam)
     y = alpha[:, None] + np.einsum("nl,nlt->nt", beta, xreg) + v
-    panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)], n, t, True)
+    panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)])
     return GeneratedPanel(panel, lam, ModelKind.HETEROGENEOUS)
 
 
@@ -242,7 +239,7 @@ def gen_dgp2(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     x1 = _ar1(u[:, 0, :])
     v = _disturbances(cfg, n, p + t, rng, lam)
     x2, y = _dgp2_recursion(alpha, beta1, beta2, x1, u[:, 1, :], v)
-    panel = _assemble(y[:, p:], [x1[:, p:], x2[:, p:]], n, t, True)
+    panel = _assemble(y[:, p:], [x1[:, p:], x2[:, p:]])
     return GeneratedPanel(panel, lam, ModelKind.HETEROGENEOUS)
 
 
@@ -256,7 +253,7 @@ def gen_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     v = _disturbances(cfg, n, t, rng, lam)
     slopes = np.arange(2, k + 1, dtype=np.float64)
     y = 1.0 + np.einsum("l,nlt->nt", slopes, xreg) + mu[:, None] + v
-    panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)], n, t, True)
+    panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)])
     return GeneratedPanel(panel, lam, ModelKind.FIXED_EFFECTS)
 
 
@@ -304,7 +301,7 @@ def gen_dgp4(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     v = _disturbances(cfg, n, p + t, rng, lam)
     xi = v[:, p - 1] + eta  # disturbance at time 0 enters the fixed effect
     y = _dgp4_recursion(xi, beta, v)
-    panel = _assemble(y[:, p:], [], n, t, True)
+    panel = _assemble(y[:, p:], [])
     return GeneratedPanel(panel, lam, ModelKind.DYNAMIC)
 
 

@@ -134,7 +134,9 @@ class ResidualMatrix:
     ``ortho_bases`` holds per-unit orthonormal design bases (n, T_eff, k_eff)
     when they were retained; the moment-adjusted LM test requires them.
     ``coef`` is (n, k_eff) for per-unit estimators and (k_eff,) for the
-    pooled within estimator; it is diagnostic only.
+    pooled within estimator; it is diagnostic only. Raises
+    :class:`PanelError` unless ``resid`` is (n, T_eff) and the bases, when
+    given, are (n, T_eff, k_eff).
     """
 
     resid: np.ndarray
@@ -146,6 +148,12 @@ class ResidualMatrix:
 
     def __post_init__(self):
         r = np.array(self.resid, dtype=np.float64, order="C")
+        if r.ndim != 2 or r.shape[1] != self.t_eff:
+            raise PanelError(f"resid must have shape (n, t_eff={self.t_eff}), got {r.shape}")
+        shape = (r.shape[0], self.t_eff, self.k_eff)
+        if self.ortho_bases is not None and np.shape(self.ortho_bases) != shape:
+            raise PanelError(f"ortho_bases must have shape (n, t_eff, k_eff) = {shape}, "
+                             f"got {np.shape(self.ortho_bases)}")
         r.flags.writeable = False
         object.__setattr__(self, "resid", r)
 

@@ -247,7 +247,10 @@ class TestLmAdj:
                 pm = projection_pair_moments(bases[i], bases[j], t, k)
                 total += ((t - k) * corr.rho[i, j] ** 2 - pm.mu) / pm.sigma
         expected = np.sqrt(1.0 / (2 * n * (n - 1))) * total
-        res = lm_adj_stat(corr, bases, t, k)
+        resid = ResidualMatrix(
+            resid=v, t_eff=t, k_eff=k, estimator=ModelKind.HETEROGENEOUS, ortho_bases=bases
+        )
+        res = lm_adj_stat(corr, resid)
         assert res.statistic == pytest.approx(expected, rel=1e-12)
 
     def test_zero_correlations_identical_designs(self, rng):
@@ -255,7 +258,12 @@ class TestLmAdj:
         q = np.linalg.qr(rng.standard_normal((t, k)))[0]
         bases = np.stack([q] * n)
         corr = corr_of(np.eye(n))
-        res = lm_adj_stat(corr, bases, t, k)
+        # only the bases and sizes are read from the residuals; corr is given
+        resid = ResidualMatrix(
+            resid=np.zeros((n, t)), t_eff=t, k_eff=k, estimator=ModelKind.HETEROGENEOUS,
+            ortho_bases=bases,
+        )
+        res = lm_adj_stat(corr, resid)
         from panelcd.correlation import projection_pair_moments
 
         sigma = projection_pair_moments(q, q, t, k).sigma
@@ -324,6 +332,55 @@ class TestInvariances:
             previous = p
 
 
+def _explained(res, name, status, message):
+    assert (res.name, res.status, res.message) == (name, status, message)
+    assert math.isnan(res.statistic) and math.isnan(res.p_value) and not res.reject
+
+
+class TestStatusContract:
+    """Each statistic function, called directly, ends ok with finite numbers
+    or failed/unsupported with a reason; none raises for its own limits."""
+
+    TRACE_TESTS = [
+        ("LM", lm_stat), ("CD_LM", cd_lm_stat), ("CD_P", cd_p_stat),
+        ("LM_bc", lm_bc_stat), ("RLM", rlm_stat), ("RLM_PE", rlm_pe_stat),
+    ]
+
+    @pytest.mark.parametrize("name, stat_fn", TRACE_TESTS, ids=[n for n, _ in TRACE_TESTS])
+    @pytest.mark.parametrize(
+        "value, upper, two_sided",
+        [
+            (np.inf, "statistic inf, p-value 1e-300", "statistic inf, p-value 1e-300"),
+            (-np.inf, "statistic -inf, p-value 1.0", "statistic -inf, p-value 1e-300"),
+            (np.nan, "statistic nan, p-value nan", "statistic nan, p-value nan"),
+        ],
+        ids=["inf", "-inf", "nan"],
+    )
+    def test_non_finite_trace_stats_fail(self, name, stat_fn, value, upper, two_sided):
+        stats = TraceStats(tr_r2=value, tr_r4=value, offdiag_sum=value, n=4, t_eff=30)
+        detail = two_sided if name == "CD_P" else upper
+        _explained(stat_fn(stats), name, "failed", f"non-finite result: {detail}")
+
+    def test_lm_rmt_fails_unless_t_exceeds_k_plus_two(self):
+        stats = identity_stats(4, 30)
+        assert lm_rmt_stat(stats, 27).status == "ok"
+        _explained(lm_rmt_stat(stats, 28), "LM_RMT", "failed", "LM_RMT needs T > k+2, got T=30, k=28")
+
+    def test_lm_adj_unsupported_for_within_residuals(self, rng):
+        resid = fit(random_panel(rng), ModelKind.FIXED_EFFECTS)
+        _explained(
+            lm_adj_stat(correlation_matrix(resid), resid), "LM_adj", "unsupported",
+            "no design-pair moments exist for within-estimator residuals",
+        )
+
+    def test_lm_adj_fails_at_one_residual_degree_of_freedom(self, rng):
+        resid = fit(random_panel(rng, n=5, t=4, k=1), ModelKind.DYNAMIC)
+        _explained(
+            lm_adj_stat(correlation_matrix(resid), resid), "LM_adj", "failed",
+            "LM_adj needs T > k+1, got T=3, k=2",
+        )
+
+
 class TestRunAll:
     def test_requested_subset_dispatch(self, rng):
         resid = fit(random_panel(rng), ModelKind.HETEROGENEOUS)
@@ -341,9 +398,8 @@ class TestRunAll:
     def test_lm_adj_unsupported_without_bases(self, rng):
         resid = fit(random_panel(rng), ModelKind.HETEROGENEOUS, keep_bases=False)
         (res,) = run_all(resid, Config(tests=("LM_adj",)))
-        assert res.status == "unsupported"
-        with pytest.raises(cd.TestComputationError, match="without basis retention"):
-            lm_adj_stat(correlation_matrix(resid), None, resid.t_eff, resid.k_eff)
+        for entry in (res, lm_adj_stat(correlation_matrix(resid), resid)):
+            _explained(entry, "LM_adj", "unsupported", "fit retained no design bases")
 
     @pytest.mark.parametrize("dof", [1, 0])
     def test_lm_adj_fails_without_warnings_below_two_residual_degrees_of_freedom(self, rng, dof):
@@ -423,7 +479,7 @@ class TestRunAll:
         corr = correlation_matrix(resid)
         tracemalloc.start()
         try:
-            res = lm_adj_stat(corr, resid.ortho_bases, resid.t_eff, resid.k_eff)
+            res = lm_adj_stat(corr, resid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -211,6 +211,27 @@ class TestPanelDataset:
         assert resid.resid[0, 0] != 99.0
         assert not resid.resid.flags.writeable
 
+    @pytest.mark.parametrize(
+        "resid_shape, t_eff, bases_shape, match",
+        [
+            ((5, 20), 10, None, r"resid must have shape \(n, t_eff=10\), got \(5, 20\)"),
+            ((5, 20, 1), 20, None, r"resid must have shape \(n, t_eff=20\), got \(5, 20, 1\)"),
+            ((100,), 100, None, r"resid must have shape \(n, t_eff=100\), got \(100,\)"),
+            ((5, 20), 20, (4, 20, 2), r"\(5, 20, 2\), got \(4, 20, 2\)"),
+            ((5, 20), 20, (5, 19, 2), r"\(5, 20, 2\), got \(5, 19, 2\)"),
+            ((5, 20), 20, (5, 20, 3), r"\(5, 20, 2\), got \(5, 20, 3\)"),
+        ],
+        ids=["t_eff", "3-d", "1-d", "bases-n", "bases-t", "bases-k"],
+    )
+    def test_residual_matrix_refuses_inconsistent_shapes(self, rng, resid_shape, t_eff, bases_shape, match):
+        # a t_eff or bases that do not fit the residuals once gave "ok" statistics
+        bases = None if bases_shape is None else rng.standard_normal(bases_shape)
+        with pytest.raises(PanelError, match=match):
+            ResidualMatrix(
+                resid=rng.standard_normal(resid_shape), t_eff=t_eff, k_eff=2, estimator=HET,
+                ortho_bases=bases,
+            )
+
     @pytest.mark.parametrize("grid, value", [("y", np.inf), ("y", np.nan), ("x", -np.inf)])
     def test_non_finite_values_rejected(self, rng, grid, value):
         panel = random_panel(rng, n=4, t=10, k=2)
