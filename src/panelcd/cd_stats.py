@@ -348,6 +348,9 @@ def lm_adj_stat(corr: CorrelationMatrix, resid: ResidualMatrix, alpha: float = 0
     ``corr.block`` and reduced to a running sum as it comes. Working memory
     is O(nTk) plus fixed-size tiles: no n x n array of moments or terms is
     formed, nor of correlations when ``corr`` keeps its unit-norm rows.
+    Every unit of a heterogeneous fit with an intercept has the same first
+    basis column, e/sqrt(T), which the kernel takes out, so the pairs cost
+    k_eff - 1 columns rather than k_eff.
 
     The design bases (n, T_eff, k_eff), T_eff, k_eff and the estimator are
     read from ``resid``, whose residuals ``corr`` correlates. The entry is

@@ -24,7 +24,17 @@ algebra: with M_i = I - Q_i Q_i' and C = Q_i' Q_j,
     tr(M_i M_j)     = T - 2k + ||C||_F^2
     tr((M_i M_j)^2) = T - 2k + tr((C'C)^2)
 
-which turns the O(T^3) dense products into O(T k^2) per pair. One kernel,
+which turns the O(T^3) dense products into O(T k^2) per pair. When the
+first s columns of Q_i and Q_j are the same (column 0 is e/sqrt(T) in
+every unit of a heterogeneous fit with an intercept), C = diag(I_s, C~)
+with C~ the (k-s) x (k-s) block of the other columns, and
+
+    tr(M_i M_j)     = (T-s) - 2(k-s) + ||C~||_F^2
+    tr((M_i M_j)^2) = (T-s) - 2(k-s) + tr((C~'C~)^2)
+
+are the same formulas at (T-s, k-s), while the moment weights read only
+T - k. So the pairs cost O(T (k-s)^2), and LM_adj after a heterogeneous
+fit with an intercept pays for k - 1 columns. One kernel,
 ``projection_moment_grids``, computes them: it yields square tiles of unit
 pairs, ``GRID_BLOCK`` units a side, on and above the diagonal, and callers
 reduce each tile as it comes, so the n x n moment grids are never held.
@@ -50,7 +60,8 @@ ORTHONORMAL_TOL = 1e-8
 # on the calling thread up to T of about 128: the grid then neither waits for
 # BLAS worker threads nor leaves them spinning through its elementwise steps,
 # either of which makes its time depend on what else the machine runs.
-# Working memory is about 2 k^2 GRID_BLOCK^2 doubles per tile.
+# Working memory is about 2 (k-s)^2 GRID_BLOCK^2 doubles per tile, with s the
+# leading basis columns shared by every unit.
 GRID_BLOCK = 64
 
 
@@ -235,9 +246,10 @@ def projection_pair_moments(
 def projection_moment_grids(bases: np.ndarray, t: int, k: int):
     """Pairwise moments (mu, sigma) of all n units, one tile at a time.
 
-    ``bases`` has shape (n, T, k). Yields (rows, cols, mu, sigma) for square
-    tiles of ``GRID_BLOCK`` units a side on and above the diagonal, row
-    tiles in order and column tiles from the diagonal out; ``mu`` and
+    ``bases`` has shape (n, T, k), each unit's columns orthonormal. Yields
+    (rows, cols, mu, sigma) for square tiles of ``GRID_BLOCK`` units a side
+    on and above the diagonal, row tiles in order and column tiles from the
+    diagonal out; ``mu`` and
     ``sigma`` are (len(rows), len(cols)) arrays over pairs (i in rows,
     j in cols). Every unordered pair i < j lies in exactly one tile, and on
     a diagonal tile (rows == cols) in its strict upper triangle: the lower
@@ -251,11 +263,19 @@ def projection_moment_grids(bases: np.ndarray, t: int, k: int):
         tr(M_i M_j)     = T - 2k + sum_ab G_ab^2
         tr((M_i M_j)^2) = T - 2k + sum_ab D_ab^2.
 
-    Working memory beyond one column-major copy of ``bases`` is
-    O(k^2 * GRID_BLOCK^2).
+    Leading columns that are bitwise the same in every unit (s of them; a
+    heterogeneous fit with an intercept gives column 0 = e/sqrt(T)) are
+    taken out first: C = diag(I_s, C~), so the loop runs on the other k - s
+    columns with (T - s, k - s), which leaves T - k and both traces as they
+    are. Working memory beyond one column-major copy of those columns is
+    O((k - s)^2 * GRID_BLOCK^2).
     """
     n = bases.shape[0]
-    q = np.ascontiguousarray(np.transpose(bases, (2, 0, 1)))  # q[a]: column a of every unit
+    s = 0
+    while s < k and np.all(bases[:, :, s] == bases[:1, :, s]):
+        s += 1
+    t, k = t - s, k - s
+    q = np.ascontiguousarray(np.transpose(bases[:, :, s:], (2, 0, 1)))  # q[a]: column s+a of every unit
     a1, a2 = moment_weights(t, k)
     for r0 in range(0, n, GRID_BLOCK):
         rows = slice(r0, min(r0 + GRID_BLOCK, n))

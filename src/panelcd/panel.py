@@ -230,9 +230,12 @@ def _least_squares(designs: np.ndarray, y: np.ndarray) -> _LeastSquares:
     norm, so the rank test measures collinearity rather than column scale
     (feedback designs mix columns whose magnitudes differ by many orders)
     while the column space, hence the basis and the residuals, is
-    unchanged. Two passes of modified Gram-Schmidt, each step one
-    contiguous (m, T) dot and one axpy across all units, turn that array
-    into the orthonormal basis Q in place and give the (m, k, k) stack R.
+    unchanged. A norm whose sum of squares overflows or underflows is taken
+    again on the column divided by a power of two, so every finite column is
+    equilibrated, and scaling a column by 2^m scales its norm by exactly 2^m.
+    Two passes of modified Gram-Schmidt, each step one contiguous (m, T)
+    dot and one axpy across all units, turn that array into the
+    orthonormal basis Q in place and give the (m, k, k) stack R.
     R has the singular values of the equilibrated design, so one batched
     SVD of the small R stack gives the singular-value ratio and the
     coefficients, which are unscaled at the end; the residuals are
@@ -244,6 +247,13 @@ def _least_squares(designs: np.ndarray, y: np.ndarray) -> _LeastSquares:
     k = designs.shape[2]
     q = designs.transpose(2, 0, 1).copy()  # q[a]: column a of every design
     norms = np.sqrt(np.einsum("amt,amt->am", q, q))
+    # below 2^-500 some squares may have been subnormal and lost bits
+    lost = ~(norms >= 2.0**-500) | (norms == np.inf)
+    if lost.any():
+        cols = q[lost]
+        e = np.frexp(np.max(np.abs(cols), axis=1))[1]
+        cols = np.ldexp(cols, -e[:, None])
+        norms[lost] = np.ldexp(np.sqrt(np.einsum("pt,pt->p", cols, cols)), e)
     q /= np.where(norms > 0, norms, 1.0)[:, :, None]
     r = np.zeros((q.shape[1], k, k))
     for j in range(k):

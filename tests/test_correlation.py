@@ -15,6 +15,9 @@ from panelcd.correlation import (
     trace_stats,
 )
 
+from panelcd.dgp import DgpConfig, generate_panel
+from panelcd.panel import fit
+
 from conftest import corr_of, dense_pair_moments, moment_grids
 
 
@@ -32,6 +35,20 @@ def corr_loop_oracle(v):
 
 def random_basis(rng, t, k):
     return np.linalg.qr(rng.standard_normal((t, k)))[0]
+
+
+def bases_sharing(rng, n, t, k, s):
+    """n orthonormal (T, k) bases whose first s columns are the same in every
+    unit and whose other columns differ from unit to unit."""
+    h = random_basis(rng, t, t)
+    q = np.empty((n, t, k))
+    q[:, :, :s] = h[:, :s]
+    q[:, :, s:] = h[:, s:] @ np.linalg.qr(rng.standard_normal((n, t - s, k - s)))[0]
+    return q
+
+
+# (k, s): every k up to 4 with s = 0, 1, 2 and k shared leading columns
+SHARED_CASES = sorted({(k, s) for k in range(1, 5) for s in (0, 1, 2, k) if s <= k})
 
 
 class TestCorrelationMatrix:
@@ -207,6 +224,30 @@ class TestProjectionMoments:
                 assert mu[i, j] == pytest.approx(pm.mu, rel=1e-12)
                 assert sigma[i, j] == pytest.approx(pm.sigma, rel=1e-12)
 
+    @pytest.mark.parametrize("k, s", SHARED_CASES)
+    def test_grid_with_shared_leading_columns_matches_dense_oracle(self, rng, k, s):
+        t, n = 14, 2 * GRID_BLOCK + 3
+        bases = bases_sharing(rng, n, t, k, s)
+        mu, sigma = moment_grids(bases, t, k)
+        edges = {0, n - 1} | {e + d for e in range(GRID_BLOCK, n, GRID_BLOCK) for d in (-1, 0)}
+        units = sorted(edges | set(rng.choice(n, size=6, replace=False).tolist()))
+        for i, j in itertools.permutations(units, 2):
+            dense_mu, dense_sigma = dense_pair_moments(bases[i], bases[j], t, k)
+            assert abs(mu[i, j] - dense_mu) <= 1e-12
+            assert abs(sigma[i, j] - dense_sigma) <= 1e-12
+
+    @pytest.mark.parametrize("k, s", SHARED_CASES)
+    def test_shared_leading_columns_are_taken_out_of_the_tiles(self, rng, k, s):
+        # bit for bit the kernel on the other columns at (T - s, k - s)
+        t, n = 14, 2 * GRID_BLOCK + 3
+        bases = bases_sharing(rng, n, t, k, s)
+        full = list(projection_moment_grids(bases, t, k))
+        reduced = list(projection_moment_grids(np.ascontiguousarray(bases[:, :, s:]), t - s, k - s))
+        assert len(full) == len(reduced)
+        for (rows, cols, mu, sigma), (r_rows, r_cols, r_mu, r_sigma) in zip(full, reduced):
+            assert (rows, cols) == (r_rows, r_cols)
+            assert np.array_equal(mu, r_mu) and np.array_equal(sigma, r_sigma)
+
     def test_grid_working_memory_is_blocked(self, rng):
         # an (n, n, k, k) layout needs about 24 n^2 doubles at k = 3; the
         # tiles need a copy of the bases (nTk) and O(k^2 GRID_BLOCK^2)
@@ -252,6 +293,19 @@ class TestProjectionMoments:
         q = random_basis(rng, t, k)
         with pytest.raises(InvalidBasisError):
             projection_pair_moments(2.0 * q, q, t, k)
+
+
+@pytest.mark.parametrize("dgp", [1, 2])
+def test_fit_with_intercept_shares_basis_column_zero(dgp):
+    # the LM_adj kernel takes out basis columns that are bitwise the same in
+    # every unit; a fit whose intercept column drifted by rounding from unit
+    # to unit would leave the result right but pay for all k columns again
+    for t in (10, 11, 17, 33, 64, 100, 128, 199, 300):
+        gen = generate_panel(DgpConfig(dgp=dgp, t=t, n=12), np.random.default_rng(t))
+        assert gen.panel.has_intercept
+        bases = fit(gen.panel, gen.model_spec).ortho_bases
+        assert np.all(bases[:, :, 0] == bases[:1, :, 0]), t
+        assert not np.all(bases[:, :, 1] == bases[:1, :, 1]), t
 
 
 def test_fitted_vs_known_error_trace_diagnostic(rng):

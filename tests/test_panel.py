@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from panelcd.cd_stats import TestConfig, run_all
 from panelcd.panel import (
     RANK_TOL,
     ModelKind,
@@ -448,3 +449,19 @@ class TestDynamic:
         panel = random_panel(rng, n=4, t=4, k=2)
         with pytest.raises(PanelError, match="k\\+3"):
             fit(panel, DYN)
+
+    @pytest.mark.parametrize("m", [532, -520, -560])
+    def test_response_scaled_by_a_power_of_two_fits_exactly_scaled(self, rng, m):
+        # at 2^532 the lag column's sum of squares overflows; at 2^-520 its
+        # squares fall below the normal range, and at 2^-560 they all round to 0
+        panel = random_panel(rng, n=6, t=20, k=2)
+        scaled = build_panel(np.ldexp(panel.y, m), panel.x)
+        assert validate_dataset(scaled, DYN) == ()
+        base, res = fit(panel, DYN), fit(scaled, DYN)
+        assert np.array_equal(res.ortho_bases, base.ortho_bases)
+        assert np.array_equal(res.resid, np.ldexp(base.resid, m))
+        assert np.array_equal(res.coef[:, 0], base.coef[:, 0])
+        assert np.array_equal(res.coef[:, 1:], np.ldexp(base.coef[:, 1:], m))
+        if m > 0:  # below, the residuals meet the absolute degeneracy floor
+            cfg = TestConfig()
+            assert run_all(res, cfg) == run_all(base, cfg)
