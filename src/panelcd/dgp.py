@@ -25,6 +25,13 @@ All randomness flows through the injected generator, in a fixed
 documented order per design (loadings first, then coefficients, then
 regressor innovations, then disturbances), so one seed pins the panel
 bit-for-bit.
+
+Each design runs in two phases. The draw phase (:func:`draw_panel`) makes
+every call to the generator, in that order, and scales the draws in
+place. The build phase (:func:`build_panel`) takes no random numbers: it
+adds the factor, runs the recursions and assembles the panel.
+:func:`generate_panel` is the build of the draws, so a Monte Carlo loop
+can draw one replication while it fits another.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ logger = logging.getLogger(__name__)
 
 AR_COEF = 0.6
 MAX_STABLE_LAG = 0.98  # dynamic designs redraw the AR coefficient beyond this
-MAX_FEEDBACK_SLOPE = 0.9  # feedback design: tighter bound, see gen_dgp2
+MAX_FEEDBACK_SLOPE = 0.9  # feedback design: tighter bound, see _build_dgp2
 _DEFAULT_K = {1: 2, 2: 3, 3: 2, 4: 0}  # regressor columns per dgp, intercept included
 
 
@@ -114,8 +121,13 @@ def gen_errors(dist: ErrorDist, rows: int, cols: int, rng: np.random.Generator) 
     if dist is ErrorDist.NORMAL:
         return rng.standard_normal((rows, cols))
     if dist is ErrorDist.CHISQ5:
-        return (rng.chisquare(5, (rows, cols)) - 5.0) / np.sqrt(10.0)
-    return rng.standard_t(10, (rows, cols)) / np.sqrt(10.0 / 8.0)
+        e = rng.chisquare(5, (rows, cols))
+        e -= 5.0
+        e /= np.sqrt(10.0)
+        return e
+    e = rng.standard_t(10, (rows, cols))
+    e /= np.sqrt(10.0 / 8.0)
+    return e
 
 
 def gen_loadings(
@@ -153,21 +165,33 @@ def _ar_innovations(n: int, n_reg: int, span: int, rng: np.random.Generator) -> 
     that :func:`_ar1` of them is a stationary AR(1) regressor."""
     tau2 = rng.chisquare(6, (n, n_reg)) / 6.0
     sd = np.sqrt(tau2 / (1.0 - AR_COEF**2))
-    return rng.standard_normal((n, n_reg, span)) * sd[:, :, None]
+    innov = rng.standard_normal((n, n_reg, span))
+    innov *= sd[:, :, None]
+    return innov
 
 
 def _disturbances(
     cfg: DgpConfig, rows: int, cols: int, rng: np.random.Generator, lam: Optional[np.ndarray]
-):
-    """Null: per-unit chi-squared(2)/2 scale times iid noise; alternative:
-    loading * common factor + iid noise."""
+) -> tuple:
+    """The draws behind the disturbances, for :func:`_loaded`. Null: no
+    factor, and per-unit chi-squared(2)/2 scale times iid noise;
+    alternative: the common factor, and iid noise."""
     if lam is None:
         sigma = rng.chisquare(2, rows) / 2.0
         eps = gen_errors(cfg.error_dist, rows, cols, rng)
-        return sigma[:, None] * eps
+        eps *= sigma[:, None]
+        return None, eps
     f = rng.standard_normal(cols)
-    eps = gen_errors(cfg.error_dist, rows, cols, rng)
-    return lam[:, None] * f[None, :] + eps
+    return f, gen_errors(cfg.error_dist, rows, cols, rng)
+
+
+def _loaded(lam: Optional[np.ndarray], f: Optional[np.ndarray], eps: np.ndarray) -> np.ndarray:
+    """The disturbances: ``eps`` under the null, loading * factor + ``eps``
+    under an alternative, summed into ``eps`` (a sum is the same bits in
+    either order)."""
+    if lam is not None:
+        eps += lam[:, None] * f[None, :]
+    return eps
 
 
 def _maybe_loadings(cfg: DgpConfig, rng: np.random.Generator) -> Optional[np.ndarray]:
@@ -185,20 +209,27 @@ def _assemble(y: np.ndarray, x_cols) -> PanelDataset:
         x[:, :, pos] = col
     units = tuple(str(i) for i in range(1, n + 1))
     times = tuple(str(s) for s in range(1, t + 1))
-    return PanelDataset(y=y, x=x, unit_ids=units, time_ids=times)
+    return PanelDataset._of_own_arrays(np.ascontiguousarray(y), x, units, times)
 
 
-def gen_dgp1(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
-    """Heterogeneous panel with intercept and k-1 strictly exogenous AR(1)
-    regressors; per-unit coefficients drawn around 1."""
-    n, t, k, p = cfg.n, cfg.t, cfg.k, cfg.burn_in + 1
+def _draw_dgp1(cfg: DgpConfig, rng: np.random.Generator) -> tuple:
+    n, k = cfg.n, cfg.k
     lam = _maybe_loadings(cfg, rng)
     alpha = rng.normal(1.0, 1.0, n)
     beta = rng.normal(1.0, 0.2, (n, k - 1))
-    xreg = _ar1(_ar_innovations(n, k - 1, p + t, rng))[:, :, p:]
-    v = _disturbances(cfg, n, t, rng, lam)
+    innov = _ar_innovations(n, k - 1, cfg.burn_in + 1 + cfg.t, rng)
+    f, eps = _disturbances(cfg, n, cfg.t, rng, lam)
+    return lam, alpha, beta, innov, f, eps
+
+
+def _build_dgp1(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
+    """Heterogeneous panel with intercept and k-1 strictly exogenous AR(1)
+    regressors; per-unit coefficients drawn around 1."""
+    lam, alpha, beta, innov, f, eps = draws
+    v = _loaded(lam, f, eps)
+    xreg = _ar1(innov)[:, :, cfg.burn_in + 1 :]
     y = alpha[:, None] + np.einsum("nl,nlt->nt", beta, xreg) + v
-    panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)])
+    panel = _assemble(y, [xreg[:, j, :] for j in range(cfg.k - 1)])
     return GeneratedPanel(panel, lam, ModelKind.HETEROGENEOUS)
 
 
@@ -216,7 +247,18 @@ def _dgp2_recursion(alpha, beta1, beta2, x1, u2, v):
     return x2, y
 
 
-def gen_dgp2(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
+def _draw_dgp2(cfg: DgpConfig, rng: np.random.Generator) -> tuple:
+    n, span = cfg.n, cfg.burn_in + 1 + cfg.t
+    lam = _maybe_loadings(cfg, rng)
+    alpha = rng.normal(1.0, 1.0, n)
+    beta1 = rng.normal(1.0, 0.2, n)
+    beta2 = _stable_lag_coefs(n, rng, limit=MAX_FEEDBACK_SLOPE)
+    u = _ar_innovations(n, 2, span, rng)
+    f, eps = _disturbances(cfg, n, span, rng, lam)
+    return lam, alpha, beta1, beta2, u, f, eps
+
+
+def _build_dgp2(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
     """Heterogeneous panel where the second regressor feeds back from the
     lagged response; disturbances are generated over the whole presample
     span because the recursion consumes them.
@@ -230,27 +272,31 @@ def gen_dgp2(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
     rather than an estimated lag, and near-unit-root units inflate the
     size of every trace statistic.
     """
-    n, t, p = cfg.n, cfg.t, cfg.burn_in + 1
-    lam = _maybe_loadings(cfg, rng)
-    alpha = rng.normal(1.0, 1.0, n)
-    beta1 = rng.normal(1.0, 0.2, n)
-    beta2 = _stable_lag_coefs(n, rng, limit=MAX_FEEDBACK_SLOPE)
-    u = _ar_innovations(n, 2, p + t, rng)
+    lam, alpha, beta1, beta2, u, f, eps = draws
+    p = cfg.burn_in + 1
+    v = _loaded(lam, f, eps)
     x1 = _ar1(u[:, 0, :])
-    v = _disturbances(cfg, n, p + t, rng, lam)
     x2, y = _dgp2_recursion(alpha, beta1, beta2, x1, u[:, 1, :], v)
     panel = _assemble(y[:, p:], [x1[:, p:], x2[:, p:]])
     return GeneratedPanel(panel, lam, ModelKind.HETEROGENEOUS)
 
 
-def gen_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
-    """Fixed-effects panel: common intercept 1, common slope l on the l-th
-    regressor, unit effects drawn N(1, 1); fitted with the within estimator."""
-    n, t, k, p = cfg.n, cfg.t, cfg.k, cfg.burn_in + 1
+def _draw_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> tuple:
+    n = cfg.n
     lam = _maybe_loadings(cfg, rng)
     mu = rng.normal(1.0, 1.0, n)
-    xreg = _ar1(_ar_innovations(n, k - 1, p + t, rng))[:, :, p:]
-    v = _disturbances(cfg, n, t, rng, lam)
+    innov = _ar_innovations(n, cfg.k - 1, cfg.burn_in + 1 + cfg.t, rng)
+    f, eps = _disturbances(cfg, n, cfg.t, rng, lam)
+    return lam, mu, innov, f, eps
+
+
+def _build_dgp3(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
+    """Fixed-effects panel: common intercept 1, common slope l on the l-th
+    regressor, unit effects drawn N(1, 1); fitted with the within estimator."""
+    lam, mu, innov, f, eps = draws
+    k = cfg.k
+    v = _loaded(lam, f, eps)
+    xreg = _ar1(innov)[:, :, cfg.burn_in + 1 :]
     slopes = np.arange(2, k + 1, dtype=np.float64)
     y = 1.0 + np.einsum("l,nlt->nt", slopes, xreg) + mu[:, None] + v
     panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)])
@@ -288,29 +334,82 @@ def _dgp4_recursion(xi: np.ndarray, beta: np.ndarray, v: np.ndarray) -> np.ndarr
     return y
 
 
-def gen_dgp4(cfg: DgpConfig, rng: np.random.Generator) -> GeneratedPanel:
+def _draw_dgp4(cfg: DgpConfig, rng: np.random.Generator) -> tuple:
+    n = cfg.n
+    lam = _maybe_loadings(cfg, rng)
+    beta = _stable_lag_coefs(n, rng)
+    eta = rng.normal(1.0, np.sqrt(2.0), n)
+    f, eps = _disturbances(cfg, n, cfg.burn_in + 1 + cfg.t, rng, lam)
+    return lam, beta, eta, f, eps
+
+
+def _build_dgp4(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
     """Pure dynamic panel: unit-level AR(1) around a fixed point that mixes
     the period-0 disturbance with an independent N(1, 2) draw.
 
     The panel's only column is its intercept, which is the dynamic fit's
     constant: the fitted design is (lag, 1)."""
-    n, t, p = cfg.n, cfg.t, cfg.burn_in + 1
-    lam = _maybe_loadings(cfg, rng)
-    beta = _stable_lag_coefs(n, rng)
-    eta = rng.normal(1.0, np.sqrt(2.0), n)
-    v = _disturbances(cfg, n, p + t, rng, lam)
+    lam, beta, eta, f, eps = draws
+    p = cfg.burn_in + 1
+    v = _loaded(lam, f, eps)
     xi = v[:, p - 1] + eta  # disturbance at time 0 enters the fixed effect
     y = _dgp4_recursion(xi, beta, v)
     panel = _assemble(y[:, p:], [])
     return GeneratedPanel(panel, lam, ModelKind.DYNAMIC)
 
 
-_GENERATORS = {1: gen_dgp1, 2: gen_dgp2, 3: gen_dgp3, 4: gen_dgp4}
+# per design: (draw phase, build phase)
+_DESIGNS = {
+    1: (_draw_dgp1, _build_dgp1),
+    2: (_draw_dgp2, _build_dgp2),
+    3: (_draw_dgp3, _build_dgp3),
+    4: (_draw_dgp4, _build_dgp4),
+}
 
 
-def generate_panel(cfg: DgpConfig, rng: Optional[np.random.Generator] = None) -> GeneratedPanel:
-    """Generate one panel for ``cfg``, using ``cfg.seed`` when no generator
-    is injected."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return _GENERATORS[cfg.dgp](cfg, rng)
+class PanelDraws:
+    """The draw phase's random numbers for one panel, in its design's order.
+
+    The build takes them out, since it overwrites them: a second build of
+    the same draws is refused, and the arrays go with the build's own
+    references whoever still holds this. ``when_built``, if set, is called
+    once the build has made the panel, so a caller that draws ahead can
+    start its next draw when these arrays have become the panel's."""
+
+    def __init__(self, arrays: tuple):
+        self._arrays = arrays
+        self.when_built = None
+
+    def take(self) -> tuple:
+        arrays, self._arrays = self._arrays, None
+        if arrays is None:
+            raise ValueError("these draws were already built")
+        return arrays
+
+
+def draw_panel(cfg: DgpConfig, rng: np.random.Generator) -> PanelDraws:
+    """The draw phase of ``cfg``'s panel: every random number it takes from
+    ``rng``, in the documented order, for :func:`build_panel`."""
+    return PanelDraws(_DESIGNS[cfg.dgp][0](cfg, rng))
+
+
+def build_panel(cfg: DgpConfig, draws: PanelDraws) -> GeneratedPanel:
+    """The build phase: the panel that :func:`draw_panel`'s ``draws`` make.
+    It takes no random numbers; it takes the arrays out of ``draws`` and
+    overwrites them."""
+    gen = _DESIGNS[cfg.dgp][1](cfg, draws.take())
+    if draws.when_built is not None:
+        draws.when_built()
+    return gen
+
+
+def generate_panel(
+    cfg: DgpConfig, rng: Optional[np.random.Generator | PanelDraws] = None
+) -> GeneratedPanel:
+    """Generate one panel for ``cfg`` from the generator ``rng``, or from
+    ``cfg.seed`` when no generator is injected. ``rng`` may also be the
+    draws that :func:`draw_panel` already made for ``cfg``; only the build
+    phase runs then."""
+    if not isinstance(rng, PanelDraws):
+        rng = draw_panel(cfg, np.random.default_rng(cfg.seed) if rng is None else rng)
+    return build_panel(cfg, rng)

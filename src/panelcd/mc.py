@@ -11,18 +11,28 @@ inside a replication (for instance a rank-deficient simulated design) are
 captured and counted, never raised, and the failed replication drops out
 of the rejection-frequency denominator. A test that does not apply to the
 cell's model is counted as unsupported, apart from the failures.
+
+Pool workers run BLAS on one thread. So does the calling process while
+``run_experiment`` runs replications there, for cells of up to
+``ONE_BLAS_THREAD_MAX_OBS`` observations; larger cells keep the caller's
+count, and the caller's count comes back on return. In the calling
+process a helper thread draws the next replication's random numbers (the
+generators' draw phase) while this thread builds, fits and tests the
+current one through ``run_replication``, so one replication's draws at
+most are held ahead.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .cd_stats import ALL_TESTS, TestConfig, run_all
-from .dgp import DgpConfig, generate_panel
+from .dgp import DgpConfig, PanelDraws, draw_panel, generate_panel
 from .panel import PanelError, fit
 
 _FAILURE_CAUSES = (PanelError, np.linalg.LinAlgError, FloatingPointError, ValueError)
@@ -122,21 +132,24 @@ def run_replication(
     cfg: DgpConfig,
     tests: Sequence[str],
     alpha: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | PanelDraws,
 ) -> RepOutcome:
     """Generate one panel, fit it with its model kind, and run the battery.
 
-    Returns one flag per requested test: True/False for a decision, None
-    when that test was unsupported or failed, or the whole replication
-    failed. Unsupported tests are also listed by name.
+    ``rng`` is the replication's stream, or the draws that
+    :func:`~panelcd.dgp.draw_panel` already made from it. Returns one flag
+    per requested test: True/False for a decision, None when that test was
+    unsupported or failed, or the whole replication failed. Unsupported
+    tests are also listed by name.
     """
     tests = tuple(tests)
     try:
         gen = generate_panel(cfg, rng)
         resid = fit(gen.panel, gen.model_spec)
+        del gen  # the panel's grids go before the battery runs
         results = run_all(resid, TestConfig(alpha=alpha, tests=tests))
     except _FAILURE_CAUSES as exc:
-        return RepOutcome(flags=(None,) * len(tests), error=f"{type(exc).__name__}: {exc}")
+        return _failed(exc, tests)
     by_name = {r.name: r for r in results}
     flags = tuple(
         bool(by_name[t].reject) if by_name[t].status == "ok" else None for t in tests
@@ -145,10 +158,69 @@ def run_replication(
     return RepOutcome(flags=flags, unsupported=unsupported)
 
 
+def _failed(exc: Exception, tests: tuple) -> RepOutcome:
+    return RepOutcome(flags=(None,) * len(tests), error=f"{type(exc).__name__}: {exc}")
+
+
 def _run_task(plan: ExperimentPlan, task) -> RepOutcome:
     cell_index, rep_index = task
     rng = derive_stream(plan.root_seed, cell_index, rep_index)
     return run_replication(plan.cells[cell_index], plan.tests, plan.alpha, rng)
+
+
+def _draw_task(plan: ExperimentPlan, task) -> PanelDraws:
+    cell_index, rep_index = task
+    return draw_panel(plan.cells[cell_index], derive_stream(plan.root_seed, cell_index, rep_index))
+
+
+# In the calling process, cells of at most this many observations (n * T)
+# run BLAS on one thread, and larger ones keep the caller's count. On two
+# cores, with all eight tests: n = 2000, T = 500 ran as fast either way
+# (about 0.59 s a replication), and n = 4000, T = 1000 took 1.80 s on one
+# thread against 1.44-1.58 s on two.
+ONE_BLAS_THREAD_MAX_OBS = 1_000_000
+
+
+def _run_here(plan: ExperimentPlan, tasks: list) -> list:
+    """Run ``tasks`` in this process. One helper thread draws the next
+    task's random numbers while this thread builds, fits and tests the
+    current one. The next draw starts once the current panel is built, so
+    one task's draws at most are held ahead, and none during a build. BLAS
+    runs on one thread for cells up to ``ONE_BLAS_THREAD_MAX_OBS``
+    observations, and the caller's count is back on return. The outcomes
+    are ``_run_task``'s."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    previous = _set_blas_threads(1)
+    outcomes = []
+    try:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            following = iter(tasks[1:])
+            ahead = helper.submit(_draw_task, plan, tasks[0])
+
+            def draw_next():  # start the following task's draw, once
+                nonlocal ahead
+                task = next(following, None) if ahead is None else None
+                if task is not None:
+                    ahead = helper.submit(_draw_task, plan, task)
+
+            for ci, ri in tasks:
+                cell = plan.cells[ci]
+                if ri == 0 and previous is not None:
+                    _set_blas_threads(1 if cell.n * cell.t <= ONE_BLAS_THREAD_MAX_OBS else previous)
+                drawn, ahead = ahead, None
+                try:
+                    draws = drawn.result()
+                except _FAILURE_CAUSES as exc:
+                    outcomes.append(_failed(exc, plan.tests))
+                else:
+                    draws.when_built = draw_next
+                    outcomes.append(run_replication(cell, plan.tests, plan.alpha, draws))
+                draw_next()  # where no panel was built
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+    return outcomes
 
 
 def _pin_heap() -> None:
@@ -156,7 +228,11 @@ def _pin_heap() -> None:
     and the trim threshold at twice that, as the rule keeps them. Replications
     then reuse freed heap instead of faulting in fresh mappings. Either call
     turns the rule off, so both are made or neither; without ``mallopt``
-    this does nothing."""
+    this does nothing.
+
+    Where they are pinned, every thread also allocates from the one arena.
+    Otherwise a draw thread that starts before the last one has given up its
+    arena takes a new one, and each arena keeps its own freed heap."""
     import ctypes
 
     try:
@@ -166,6 +242,7 @@ def _pin_heap() -> None:
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     if mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD; glibc's M_TRIM_THRESHOLD cannot fail
         mallopt(-1, 64 << 20)
+        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def _blas_paths(maps_lines) -> list:
@@ -176,32 +253,51 @@ def _blas_paths(maps_lines) -> list:
     return sorted(p for p in paths if p.startswith("/") and "openblas" in p.lower() and ".so" in p)
 
 
-def _init_worker() -> None:
-    """Pool initializer: pin the heap, and run this worker's OpenBLAS on one
-    thread. A forked worker keeps the parent's BLAS thread count, so two
-    workers on two cores would run four BLAS threads between them. The
-    library is the one numpy mapped into the process (``/proc/self/maps``);
-    where none loads or it has no set-threads symbol, nothing changes."""
+@cache
+def _blas_controls():
+    """(get, set) thread-count functions of the OpenBLAS that numpy mapped
+    into this process (``/proc/self/maps``), or None where none loads or it
+    has no such symbols."""
     import ctypes
 
-    _pin_heap()
     try:
         with open("/proc/self/maps") as fh:
             paths = _blas_paths(fh)
     except OSError:
-        return
+        return None
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [ctypes.c_int], None
-                fn(1)
-                return
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _set_blas_threads(count: int):
+    """Run OpenBLAS on ``count`` threads; return the count it had, or None
+    where there is no OpenBLAS to set (nothing changes then)."""
+    controls = _blas_controls()
+    if controls is None:
+        return None
+    get, put = controls
+    previous = get()
+    put(count)
+    return previous
+
+
+def _init_worker() -> None:
+    """Pool initializer: pin the heap, and run this worker's OpenBLAS on one
+    thread. A forked worker keeps the parent's BLAS thread count, so two
+    workers on two cores would run four BLAS threads between them."""
+    _pin_heap()
+    _set_blas_threads(1)
 
 
 def run_experiment(plan: ExperimentPlan) -> RejectionReport:
@@ -210,22 +306,27 @@ def run_experiment(plan: ExperimentPlan) -> RejectionReport:
     Aggregation iterates tasks in (cell, replication) index order, so the
     report does not depend on the worker count. Each pool worker runs BLAS
     on one thread, so the workers share the cores instead of
-    oversubscribing them; the calling process keeps its own setting.
-    The calling process and every worker pin glibc's malloc thresholds
-    (``_pin_heap``), and the calling process keeps them after this returns.
+    oversubscribing them. The calling process, when it runs the
+    replications itself, does the same for cells of up to
+    ``ONE_BLAS_THREAD_MAX_OBS`` observations and keeps its own count for
+    larger ones, and its own setting is restored on return. There a helper
+    thread draws the next replication's random numbers while the current
+    one is fitted and tested, one replication ahead. The calling process
+    and every worker pin glibc's malloc
+    thresholds (``_pin_heap``), and the calling process keeps them after
+    this returns.
     """
     start = time.perf_counter()
     _pin_heap()
     tasks = [(ci, ri) for ci in range(len(plan.cells)) for ri in range(plan.reps)]
     if plan.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
         chunk = max(1, len(tasks) // (plan.workers * 8))
         with ProcessPoolExecutor(max_workers=plan.workers, initializer=_init_worker) as pool:
             outcomes = list(pool.map(partial(_run_task, plan), tasks, chunksize=chunk))
     else:
-        outcomes = [_run_task(plan, task) for task in tasks]
+        outcomes = _run_here(plan, tasks)
 
     rows = []
     for ci, cell in enumerate(plan.cells):

@@ -26,7 +26,7 @@ every broken rule, fit raises the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -85,8 +85,30 @@ class PanelDataset:
 
     def __post_init__(self):
         # private copies: freezing them leaves the caller's arrays writable
-        y = np.array(self.y, dtype=np.float64, order="C")
-        x = np.array(self.x, dtype=np.float64, order="C")
+        self._settle(np.array(self.y, dtype=np.float64, order="C"),
+                     np.array(self.x, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _of_own_arrays(cls, y: np.ndarray, x: np.ndarray, unit_ids, time_ids) -> "PanelDataset":
+        """Wrap C-contiguous float64 grids the package made itself; they are
+        checked and frozen, not copied. Every other field takes its default."""
+        panel = cls.__new__(cls)
+        given = {"y": y, "x": x, "unit_ids": unit_ids, "time_ids": time_ids}
+        for f in fields(cls):
+            if f.name in given:
+                value = given[f.name]
+            elif f.default_factory is not MISSING:
+                value = f.default_factory()
+            elif f.default is not MISSING:
+                value = f.default
+            else:
+                raise TypeError(f"PanelDataset field {f.name!r} has no default")
+            object.__setattr__(panel, f.name, value)
+        panel._settle(y, x)
+        return panel
+
+    def _settle(self, y: np.ndarray, x: np.ndarray) -> None:
+        """Check the grids and labels, then keep the grids frozen."""
         if y.ndim != 2:
             raise PanelError(f"y must be 2-d (n, T), got shape {y.shape}")
         if x.ndim != 3 or x.shape[:2] != y.shape:

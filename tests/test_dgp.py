@@ -1,4 +1,8 @@
 
+import hashlib
+import itertools
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from panelcd.dgp import (
     _dgp2_recursion,
     _dgp4_recursion,
     _stable_lag_coefs,
+    draw_panel,
     gen_errors,
     gen_loadings,
     generate_panel,
@@ -85,7 +90,43 @@ class TestLoadings:
             gen_loadings(Alternative.NULL, 10, np.random.default_rng(0))
 
 
+# SHA-256 of every panel's y and x over all (error distribution,
+# alternative) pairs, per design, as generated in one pass before the draw
+# and build phases were split. The seeds of dgps 2 and 4 redraw lag
+# coefficients in _stable_lag_coefs.
+PANEL_SHA256 = {
+    1: "a6d48fd5f969689ca74824fc0992d1430f9983d44f581cf820af3fdec3667188",
+    2: "48fd342383753608ed11edaa02e429bad512c15a334a19540f97dd565697d3e4",
+    3: "9eb8f8030b66340171a69f34e4e2941b9bc2d8ac193465226437686f30742bab",
+    4: "c5221414867306b518a48bf8c59c35fd1232d727605d9b39660f6956bd2569af",
+}
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
+    def test_panels_are_those_of_the_one_pass_generators(self, dgp, caplog):
+        caplog.set_level(logging.DEBUG, logger="panelcd.dgp")
+        digest = hashlib.sha256()
+        for i, (dist, alt) in enumerate(itertools.product(ErrorDist, Alternative)):
+            cfg = DgpConfig(dgp=dgp, t=12, n=15, k=0 if dgp == 4 else 3, error_dist=dist,
+                            alternative=alt, seed=100 * dgp + i)
+            panel = generate_panel(cfg).panel
+            digest.update(panel.y.tobytes())
+            digest.update(panel.x.tobytes())
+        assert digest.hexdigest() == PANEL_SHA256[dgp]
+        redrew = any("redrew" in r.getMessage() for r in caplog.records)
+        assert redrew == (dgp in (2, 4))
+
+    @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
+    def test_panel_of_draws_made_ahead_is_the_same(self, dgp):
+        cfg = cfg_for(dgp, alternative=Alternative.DENSE, seed=21)
+        draws = draw_panel(cfg, np.random.default_rng(21))
+        ahead, direct = generate_panel(cfg, draws).panel, generate_panel(cfg).panel
+        assert ahead.y.tobytes() == direct.y.tobytes() and ahead.x.tobytes() == direct.x.tobytes()
+        # the build overwrote the draws, so a second build is refused
+        with pytest.raises(ValueError, match="already built"):
+            generate_panel(cfg, draws)
+
     @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
     def test_same_seed_is_bitwise_identical(self, dgp):
         a = generate_panel(cfg_for(dgp, seed=11))

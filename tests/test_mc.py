@@ -3,13 +3,18 @@ import ctypes
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import panelcd.dgp as dgp
 import panelcd.mc as mc
-from panelcd.dgp import DgpConfig
+from panelcd.dgp import Alternative, DgpConfig, ErrorDist
+from panelcd.panel import PanelError
 from panelcd.mc import ExperimentPlan, derive_stream, run_experiment, run_replication
 
 
@@ -160,6 +165,184 @@ class TestRunExperiment:
         assert plan.tests == ("LM", "RLM", "RLM_PE")
 
 
+def _spawn_key(rng):
+    """The (cell, replication) of a stream made by derive_stream."""
+    return rng.bit_generator.seed_seq.spawn_key
+
+
+class TestInProcessLoop:
+    PLAN = ExperimentPlan(
+        cells=(small_cell(), small_cell(dgp=2, t=25, n=8, k=3), small_cell(dgp=3),
+               small_cell(dgp=4, n=7, k=0)),
+        reps=3, tests=("RLM", "CD_P", "LM_adj"), root_seed=23,
+    )
+    TASKS = [(ci, ri) for ci in range(4) for ri in range(3)]
+
+    def _faulty(self, monkeypatch, draw_fault=None, fit_fault=None, at=(1, 2), on_call=5):
+        """Make the draw of replication ``at`` raise ``draw_fault``, and the
+        ``on_call``-th fit of each run raise ``fit_fault``; return a function
+        that starts a new run's fit count."""
+        real_draw, real_fit = dgp.draw_panel, mc.fit
+        fits = []
+
+        def draw(cfg, rng):
+            if draw_fault is not None and _spawn_key(rng) == at:
+                raise draw_fault
+            return real_draw(cfg, rng)
+
+        def fit(panel, kind):
+            fits.append(kind)
+            if fit_fault is not None and len(fits) == on_call:
+                raise fit_fault
+            return real_fit(panel, kind)
+
+        # generate_panel reads the dgp module's name, the loop the mc module's
+        monkeypatch.setattr(dgp, "draw_panel", draw)
+        monkeypatch.setattr(mc, "draw_panel", draw)
+        monkeypatch.setattr(mc, "fit", fit)
+        return fits.clear
+
+    def test_outcomes_equal_run_replication_task_by_task(self, monkeypatch):
+        new_run = self._faulty(monkeypatch, draw_fault=ValueError("draw refused"),
+                               fit_fault=PanelError("fit refused"))
+        expected = [mc._run_task(self.PLAN, task) for task in self.TASKS]
+        new_run()
+        before = threading.active_count()
+        assert mc._run_here(self.PLAN, self.TASKS) == expected
+        assert threading.active_count() == before
+        errors = {task: o.error for task, o in zip(self.TASKS, expected) if o.failed}
+        # the fifth fit is replication (1, 1)'s
+        assert errors == {(1, 1): "PanelError: fit refused", (1, 2): "ValueError: draw refused"}
+        # LM_adj does not apply to dgp 3's within residuals
+        assert [task for task, o in zip(self.TASKS, expected) if o.unsupported] == [
+            (2, 0), (2, 1), (2, 2)]
+
+    def test_draws_run_one_replication_ahead_on_a_helper_thread(self, monkeypatch):
+        events = []
+        real_draw, real_generate, real_replication = (
+            mc.draw_panel, mc.generate_panel, mc.run_replication)
+
+        def draw(cfg, rng):
+            events.append(("draw", _spawn_key(rng), threading.current_thread()))
+            return real_draw(cfg, rng)
+
+        def generate(cfg, rng):
+            assert isinstance(rng, dgp.PanelDraws)
+            events.append(("generate", None, threading.current_thread()))
+            return real_generate(cfg, rng)
+
+        def replication(*args):
+            events.append(("replication", None, threading.current_thread()))
+            return real_replication(*args)
+
+        def recorded(build):
+            def wrapper(cfg, draws):
+                gen = build(cfg, draws)
+                events.append(("built", None, threading.current_thread()))
+                return gen
+            return wrapper
+
+        def run_all(*args):
+            # the next task's draw runs while this battery does
+            count = lambda kind: sum(e[0] == kind for e in events)  # noqa: E731
+            wanted = min(count("generate") + 1, len(self.TASKS))
+            deadline = time.monotonic() + 5.0
+            while count("draw") < wanted:
+                assert time.monotonic() < deadline, "no draw ran alongside the battery"
+                time.sleep(0.001)
+            return real_run_all(*args)
+
+        # the names the loop looks up, and the benchmark's tracer wraps
+        real_run_all = mc.run_all
+        monkeypatch.setattr(mc, "draw_panel", draw)
+        monkeypatch.setattr(mc, "generate_panel", generate)
+        monkeypatch.setattr(mc, "run_replication", replication)
+        monkeypatch.setattr(mc, "run_all", run_all)
+        for d, (draw_phase, build_phase) in dgp._DESIGNS.items():
+            monkeypatch.setitem(dgp._DESIGNS, d, (draw_phase, recorded(build_phase)))
+        mc._run_here(self.PLAN, self.TASKS)
+        draws = [e for e in events if e[0] == "draw"]
+        assert [key for _, key, _ in draws] == self.TASKS
+        assert all(t is not threading.main_thread() for *_, t in draws)
+        assert all(t is threading.main_thread() for kind, _, t in events if kind != "draw")
+        # the draw of task i + 1 starts only once task i's panel is built
+        kinds = [kind for kind, *_ in events]
+        assert kinds == ["draw"] + ["replication", "generate", "built", "draw"] * (
+            len(self.TASKS) - 1) + ["replication", "generate", "built"]
+
+    @pytest.mark.parametrize("where", ["draw", "fit"])
+    def test_unexpected_error_propagates_from_its_replication(self, monkeypatch, where):
+        before = threading.active_count()
+        fault = RuntimeError("unexpected")
+        if where == "draw":
+            self._faulty(monkeypatch, draw_fault=fault, at=(0, 3))
+        else:
+            self._faulty(monkeypatch, fit_fault=fault, on_call=4)
+        tested = []
+        real_run_all = mc.run_all
+        monkeypatch.setattr(mc, "run_all", lambda *a: tested.append(a) or real_run_all(*a))
+        plan = ExperimentPlan(cells=(small_cell(),), reps=6, tests=("RLM",), root_seed=5)
+        with pytest.raises(RuntimeError, match="unexpected") as info:
+            run_experiment(plan)
+        assert info.value is fault
+        assert len(tested) == 3  # replications 0, 1 and 2 ran their battery, and no later one
+        assert threading.active_count() == before
+
+    def test_small_cells_run_blas_on_one_thread_and_the_callers_count_comes_back(
+            self, monkeypatch):
+        original = _blas_threads()
+        if original is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        seen = []
+        real_run_all = mc.run_all
+        monkeypatch.setattr(mc, "run_all", lambda *a: seen.append(_blas_threads()) or real_run_all(*a))
+        # n * T = 120, 240, 120: the middle cell is over the one-thread limit
+        monkeypatch.setattr(mc, "ONE_BLAS_THREAD_MAX_OBS", 200)
+        plan = ExperimentPlan(cells=(small_cell(), small_cell(t=30, n=8), small_cell()),
+                              reps=2, tests=("RLM",), root_seed=2)
+        mc._set_blas_threads(2)
+        try:
+            run_experiment(plan)
+            assert seen == [1, 1, 2, 2, 1, 1]
+            assert _blas_threads() == 2
+
+            def broken(*args):
+                raise RuntimeError("battery broke")
+
+            monkeypatch.setattr(mc, "run_all", broken)
+            with pytest.raises(RuntimeError, match="battery broke"):
+                run_experiment(plan)
+            assert _blas_threads() == 2
+        finally:
+            mc._set_blas_threads(original)
+
+    def test_pool_workers_set_blas_through_the_same_helper(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mc, "_set_blas_threads", calls.append)
+        mc._init_worker()
+        assert calls == [1]
+
+    def test_look_ahead_holds_one_replication_of_draws(self):
+        # the benchmark's mc-sparse-large cell
+        cell = DgpConfig(dgp=1, t=200, n=400, k=2, error_dist=ErrorDist.CHISQ5,
+                         alternative=Alternative.SPARSE)
+        plan = ExperimentPlan(cells=(cell,), reps=10, tests=("RLM", "RLM_PE"), root_seed=3)
+        run_experiment(plan)  # first-call allocations stay out of both peaks
+        draws = sum(a.nbytes for a in dgp.draw_panel(cell, derive_stream(3, 0, 0)).take()
+                    if a is not None)
+        peaks = []
+        for run in (lambda: run_replication(cell, plan.tests, plan.alpha, derive_stream(3, 0, 0)),
+                    lambda: run_experiment(plan)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, loop = peaks
+        assert loop <= one + draws + 0.25 * 2**20
+
+
 def _glibc():
     try:
         return os.confstr("CS_GNU_LIBC_VERSION")
@@ -185,7 +368,12 @@ class TestWorkerSetup:
 
     def test_worker_init_skips_a_library_that_does_not_load(self, monkeypatch):
         monkeypatch.setattr(mc, "_blas_paths", lambda lines: ["/nonexistent/libopenblas.so"])
-        mc._init_worker()  # raises nothing, so a pool would not break
+        mc._blas_controls.cache_clear()
+        try:
+            mc._init_worker()  # raises nothing, so a pool would not break
+            assert mc._set_blas_threads(1) is None
+        finally:
+            mc._blas_controls.cache_clear()
 
     @pytest.mark.parametrize("returns", [None, 0])
     def test_pin_heap_does_nothing_without_a_working_mallopt(self, monkeypatch, returns):

@@ -243,6 +243,19 @@ class TestPanelDataset:
             x[2, 5, 1] = value
         with pytest.raises(PanelError, match=f"^{grid} has 1 non-finite value.*unit 3, time 6"):
             PanelDataset(y=y, x=x, unit_ids=panel.unit_ids, time_ids=panel.time_ids)
+        with pytest.raises(PanelError, match=f"^{grid} has 1 non-finite value.*unit 3, time 6"):
+            PanelDataset._of_own_arrays(y, x, panel.unit_ids, panel.time_ids)
+
+    def test_own_arrays_are_frozen_in_place(self, rng):
+        # the generators' path: the grids they made are kept, not copied
+        panel = random_panel(rng, n=4, t=10, k=2)
+        y, x = panel.y.copy(), panel.x.copy()
+        own = PanelDataset._of_own_arrays(y, x, list(panel.unit_ids), list(panel.time_ids))
+        assert own.y is y and own.x is x
+        assert not y.flags.writeable and not x.flags.writeable
+        assert own.has_intercept and (own.unit_ids, own.time_ids) == (panel.unit_ids, panel.time_ids)
+        assert vars(own).keys() == vars(panel).keys() and own._fits == {}
+        assert fit(own, HET).resid.tobytes() == fit(panel, HET).resid.tobytes()
 
 
 class TestHeterogeneous:
