@@ -494,16 +494,18 @@ def _panel(add_intercept, header, found, index, blocks, blank_lines=(), non_nume
 
 
 def dump_panel_csv(panel: PanelDataset, fh) -> None:
-    """Write a panel in the long CSV schema (intercept column omitted)."""
+    """Write a panel in the long CSV schema (intercept column omitted). A
+    label is quoted where the csv module's minimal quoting quotes it."""
     start = 1 if panel.has_intercept else 0
     k_out = panel.k - start
-    fh.write("unit,time,y" + "".join(f",x{j}" for j in range(1, k_out + 1)) + "\n")
+    rows = csv.writer(fh, lineterminator="\n")
+    rows.writerow(["unit", "time", "y"] + [f"x{j}" for j in range(1, k_out + 1)])
     for i, u in enumerate(panel.unit_ids):
         for s, tl in enumerate(panel.time_ids):
             vals = [repr(float(panel.y[i, s]))] + [
                 repr(float(panel.x[i, s, start + j])) for j in range(k_out)
             ]
-            fh.write(f"{u},{tl}," + ",".join(vals) + "\n")
+            rows.writerow([u, tl] + vals)
 
 
 _CSV_HEADER = "cell_T,cell_n,dist,alternative,test,statistic,p_value,reject,frequency,mc_se,failed"

@@ -26,12 +26,12 @@ documented order per design (loadings first, then coefficients, then
 regressor innovations, then disturbances), so one seed pins the panel
 bit-for-bit.
 
-Each design runs in two phases. The draw phase (:func:`draw_panel`) makes
-every call to the generator, in that order, and scales the draws in
-place. The build phase (:func:`build_panel`) takes no random numbers: it
-adds the factor, runs the recursions and assembles the panel.
-:func:`generate_panel` is the build of the draws, so a Monte Carlo loop
-can draw one replication while it fits another.
+Each design is one generator function. It takes every random number from
+``rng``, in that order, scaling the draws in place, and pauses at a bare
+``yield``. Resumed, it takes no random numbers: it adds the factor, runs
+the recursions and returns the panel (a return, not a second ``yield``,
+so the finished design holds no draws). :func:`draw_panel` runs a design
+up to its pause, and :func:`generate_panel` resumes it.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import GeneratorType
 from typing import Optional
 
 import numpy as np
@@ -50,7 +51,7 @@ logger = logging.getLogger(__name__)
 
 AR_COEF = 0.6
 MAX_STABLE_LAG = 0.98  # dynamic designs redraw the AR coefficient beyond this
-MAX_FEEDBACK_SLOPE = 0.9  # feedback design: tighter bound, see _build_dgp2
+MAX_FEEDBACK_SLOPE = 0.9  # feedback design: tighter bound, see _dgp2
 _DEFAULT_K = {1: 2, 2: 3, 3: 2, 4: 0}  # regressor columns per dgp, intercept included
 
 
@@ -212,24 +213,20 @@ def _assemble(y: np.ndarray, x_cols) -> PanelDataset:
     return PanelDataset._of_own_arrays(np.ascontiguousarray(y), x, units, times)
 
 
-def _draw_dgp1(cfg: DgpConfig, rng: np.random.Generator) -> tuple:
+def _dgp1(cfg: DgpConfig, rng: np.random.Generator):
+    """Heterogeneous panel with intercept and k-1 strictly exogenous AR(1)
+    regressors; per-unit coefficients drawn around 1."""
     n, k = cfg.n, cfg.k
     lam = _maybe_loadings(cfg, rng)
     alpha = rng.normal(1.0, 1.0, n)
     beta = rng.normal(1.0, 0.2, (n, k - 1))
     innov = _ar_innovations(n, k - 1, cfg.burn_in + 1 + cfg.t, rng)
     f, eps = _disturbances(cfg, n, cfg.t, rng, lam)
-    return lam, alpha, beta, innov, f, eps
-
-
-def _build_dgp1(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
-    """Heterogeneous panel with intercept and k-1 strictly exogenous AR(1)
-    regressors; per-unit coefficients drawn around 1."""
-    lam, alpha, beta, innov, f, eps = draws
+    yield
     v = _loaded(lam, f, eps)
     xreg = _ar1(innov)[:, :, cfg.burn_in + 1 :]
     y = alpha[:, None] + np.einsum("nl,nlt->nt", beta, xreg) + v
-    panel = _assemble(y, [xreg[:, j, :] for j in range(cfg.k - 1)])
+    panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)])
     return GeneratedPanel(panel, lam, ModelKind.HETEROGENEOUS)
 
 
@@ -247,18 +244,7 @@ def _dgp2_recursion(alpha, beta1, beta2, x1, u2, v):
     return x2, y
 
 
-def _draw_dgp2(cfg: DgpConfig, rng: np.random.Generator) -> tuple:
-    n, span = cfg.n, cfg.burn_in + 1 + cfg.t
-    lam = _maybe_loadings(cfg, rng)
-    alpha = rng.normal(1.0, 1.0, n)
-    beta1 = rng.normal(1.0, 0.2, n)
-    beta2 = _stable_lag_coefs(n, rng, limit=MAX_FEEDBACK_SLOPE)
-    u = _ar_innovations(n, 2, span, rng)
-    f, eps = _disturbances(cfg, n, span, rng, lam)
-    return lam, alpha, beta1, beta2, u, f, eps
-
-
-def _build_dgp2(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
+def _dgp2(cfg: DgpConfig, rng: np.random.Generator):
     """Heterogeneous panel where the second regressor feeds back from the
     lagged response; disturbances are generated over the whole presample
     span because the recursion consumes them.
@@ -272,8 +258,14 @@ def _build_dgp2(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
     rather than an estimated lag, and near-unit-root units inflate the
     size of every trace statistic.
     """
-    lam, alpha, beta1, beta2, u, f, eps = draws
-    p = cfg.burn_in + 1
+    n, p = cfg.n, cfg.burn_in + 1
+    lam = _maybe_loadings(cfg, rng)
+    alpha = rng.normal(1.0, 1.0, n)
+    beta1 = rng.normal(1.0, 0.2, n)
+    beta2 = _stable_lag_coefs(n, rng, limit=MAX_FEEDBACK_SLOPE)
+    u = _ar_innovations(n, 2, p + cfg.t, rng)
+    f, eps = _disturbances(cfg, n, p + cfg.t, rng, lam)
+    yield
     v = _loaded(lam, f, eps)
     x1 = _ar1(u[:, 0, :])
     x2, y = _dgp2_recursion(alpha, beta1, beta2, x1, u[:, 1, :], v)
@@ -281,20 +273,15 @@ def _build_dgp2(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
     return GeneratedPanel(panel, lam, ModelKind.HETEROGENEOUS)
 
 
-def _draw_dgp3(cfg: DgpConfig, rng: np.random.Generator) -> tuple:
-    n = cfg.n
-    lam = _maybe_loadings(cfg, rng)
-    mu = rng.normal(1.0, 1.0, n)
-    innov = _ar_innovations(n, cfg.k - 1, cfg.burn_in + 1 + cfg.t, rng)
-    f, eps = _disturbances(cfg, n, cfg.t, rng, lam)
-    return lam, mu, innov, f, eps
-
-
-def _build_dgp3(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
+def _dgp3(cfg: DgpConfig, rng: np.random.Generator):
     """Fixed-effects panel: common intercept 1, common slope l on the l-th
     regressor, unit effects drawn N(1, 1); fitted with the within estimator."""
-    lam, mu, innov, f, eps = draws
-    k = cfg.k
+    n, k = cfg.n, cfg.k
+    lam = _maybe_loadings(cfg, rng)
+    mu = rng.normal(1.0, 1.0, n)
+    innov = _ar_innovations(n, k - 1, cfg.burn_in + 1 + cfg.t, rng)
+    f, eps = _disturbances(cfg, n, cfg.t, rng, lam)
+    yield
     v = _loaded(lam, f, eps)
     xreg = _ar1(innov)[:, :, cfg.burn_in + 1 :]
     slopes = np.arange(2, k + 1, dtype=np.float64)
@@ -334,23 +321,18 @@ def _dgp4_recursion(xi: np.ndarray, beta: np.ndarray, v: np.ndarray) -> np.ndarr
     return y
 
 
-def _draw_dgp4(cfg: DgpConfig, rng: np.random.Generator) -> tuple:
-    n = cfg.n
-    lam = _maybe_loadings(cfg, rng)
-    beta = _stable_lag_coefs(n, rng)
-    eta = rng.normal(1.0, np.sqrt(2.0), n)
-    f, eps = _disturbances(cfg, n, cfg.burn_in + 1 + cfg.t, rng, lam)
-    return lam, beta, eta, f, eps
-
-
-def _build_dgp4(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
+def _dgp4(cfg: DgpConfig, rng: np.random.Generator):
     """Pure dynamic panel: unit-level AR(1) around a fixed point that mixes
     the period-0 disturbance with an independent N(1, 2) draw.
 
     The panel's only column is its intercept, which is the dynamic fit's
     constant: the fitted design is (lag, 1)."""
-    lam, beta, eta, f, eps = draws
-    p = cfg.burn_in + 1
+    n, p = cfg.n, cfg.burn_in + 1
+    lam = _maybe_loadings(cfg, rng)
+    beta = _stable_lag_coefs(n, rng)
+    eta = rng.normal(1.0, np.sqrt(2.0), n)
+    f, eps = _disturbances(cfg, n, p + cfg.t, rng, lam)
+    yield
     v = _loaded(lam, f, eps)
     xi = v[:, p - 1] + eta  # disturbance at time 0 enters the fixed effect
     y = _dgp4_recursion(xi, beta, v)
@@ -358,58 +340,29 @@ def _build_dgp4(cfg: DgpConfig, draws: tuple) -> GeneratedPanel:
     return GeneratedPanel(panel, lam, ModelKind.DYNAMIC)
 
 
-# per design: (draw phase, build phase)
-_DESIGNS = {
-    1: (_draw_dgp1, _build_dgp1),
-    2: (_draw_dgp2, _build_dgp2),
-    3: (_draw_dgp3, _build_dgp3),
-    4: (_draw_dgp4, _build_dgp4),
-}
+_DESIGNS = {1: _dgp1, 2: _dgp2, 3: _dgp3, 4: _dgp4}
 
 
-class PanelDraws:
-    """The draw phase's random numbers for one panel, in its design's order.
-
-    The build takes them out, since it overwrites them: a second build of
-    the same draws is refused, and the arrays go with the build's own
-    references whoever still holds this. ``when_built``, if set, is called
-    once the build has made the panel, so a caller that draws ahead can
-    start its next draw when these arrays have become the panel's."""
-
-    def __init__(self, arrays: tuple):
-        self._arrays = arrays
-        self.when_built = None
-
-    def take(self) -> tuple:
-        arrays, self._arrays = self._arrays, None
-        if arrays is None:
-            raise ValueError("these draws were already built")
-        return arrays
-
-
-def draw_panel(cfg: DgpConfig, rng: np.random.Generator) -> PanelDraws:
-    """The draw phase of ``cfg``'s panel: every random number it takes from
-    ``rng``, in the documented order, for :func:`build_panel`."""
-    return PanelDraws(_DESIGNS[cfg.dgp][0](cfg, rng))
-
-
-def build_panel(cfg: DgpConfig, draws: PanelDraws) -> GeneratedPanel:
-    """The build phase: the panel that :func:`draw_panel`'s ``draws`` make.
-    It takes no random numbers; it takes the arrays out of ``draws`` and
-    overwrites them."""
-    gen = _DESIGNS[cfg.dgp][1](cfg, draws.take())
-    if draws.when_built is not None:
-        draws.when_built()
-    return gen
+def draw_panel(cfg: DgpConfig, rng: np.random.Generator) -> GeneratorType:
+    """``cfg``'s design, paused once it has drawn every random number it
+    takes from ``rng``; :func:`generate_panel` builds its panel."""
+    design = _DESIGNS[cfg.dgp](cfg, rng)
+    next(design)
+    return design
 
 
 def generate_panel(
-    cfg: DgpConfig, rng: Optional[np.random.Generator | PanelDraws] = None
+    cfg: DgpConfig, rng: Optional[np.random.Generator | GeneratorType] = None
 ) -> GeneratedPanel:
     """Generate one panel for ``cfg`` from the generator ``rng``, or from
     ``cfg.seed`` when no generator is injected. ``rng`` may also be the
-    draws that :func:`draw_panel` already made for ``cfg``; only the build
-    phase runs then."""
-    if not isinstance(rng, PanelDraws):
+    design that :func:`draw_panel` paused for ``cfg``; only its build runs
+    then, and it runs once."""
+    if not isinstance(rng, GeneratorType):
         rng = draw_panel(cfg, np.random.default_rng(cfg.seed) if rng is None else rng)
-    return build_panel(cfg, rng)
+    try:
+        next(rng)
+    except StopIteration as built:
+        if built.value is not None:
+            return built.value
+    raise ValueError("these draws were already built")

@@ -15,11 +15,14 @@ cell's model is counted as unsupported, apart from the failures.
 Pool workers run BLAS on one thread. So does the calling process while
 ``run_experiment`` runs replications there, for cells of up to
 ``ONE_BLAS_THREAD_MAX_OBS`` observations; larger cells keep the caller's
-count, and the caller's count comes back on return. In the calling
-process a helper thread draws the next replication's random numbers (the
-generators' draw phase) while this thread builds, fits and tests the
-current one through ``run_replication``, so one replication's draws at
-most are held ahead.
+count, and the caller's count comes back on return.
+
+In the calling process a helper thread draws one replication ahead. While
+this thread builds, fits and tests a replication through
+``run_replication``, the helper runs the next one's design up to its
+pause (:func:`~panelcd.dgp.draw_panel`), and nothing else. The next draw
+starts once the current panel is built, so one replication's draws at
+most are held ahead, and none while a panel is built.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache, partial
+from types import GeneratorType
 from typing import Sequence
 
 import numpy as np
 
 from .cd_stats import ALL_TESTS, TestConfig, run_all
-from .dgp import DgpConfig, PanelDraws, draw_panel, generate_panel
+from .dgp import DgpConfig, draw_panel, generate_panel
 from .panel import PanelError, fit
 
 _FAILURE_CAUSES = (PanelError, np.linalg.LinAlgError, FloatingPointError, ValueError)
@@ -54,6 +58,10 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one cell")
         if self.reps < 1:
             raise ValueError("need reps >= 1")
+        if not isinstance(self.root_seed, (int, np.integer)) or self.root_seed < 0:
+            raise ValueError("root_seed must be a non-negative integer")
+        if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
+            raise ValueError("need workers >= 1")
         tests = tuple(self.tests)
         # the rules every replication's TestConfig applies, checked before any runs
         TestConfig(alpha=self.alpha, tests=tests)
@@ -132,12 +140,13 @@ def run_replication(
     cfg: DgpConfig,
     tests: Sequence[str],
     alpha: float,
-    rng: np.random.Generator | PanelDraws,
+    rng: np.random.Generator | GeneratorType,
 ) -> RepOutcome:
     """Generate one panel, fit it with its model kind, and run the battery.
 
-    ``rng`` is the replication's stream, or the draws that
-    :func:`~panelcd.dgp.draw_panel` already made from it. Returns one flag
+    ``rng`` is what :func:`~panelcd.dgp.generate_panel` takes: the
+    replication's stream, or its design paused by
+    :func:`~panelcd.dgp.draw_panel` on that stream. Returns one flag
     per requested test: True/False for a decision, None when that test was
     unsupported or failed, or the whole replication failed. Unsupported
     tests are also listed by name.
@@ -168,9 +177,16 @@ def _run_task(plan: ExperimentPlan, task) -> RepOutcome:
     return run_replication(plan.cells[cell_index], plan.tests, plan.alpha, rng)
 
 
-def _draw_task(plan: ExperimentPlan, task) -> PanelDraws:
+def _draw_task(plan: ExperimentPlan, task) -> GeneratorType:
     cell_index, rep_index = task
     return draw_panel(plan.cells[cell_index], derive_stream(plan.root_seed, cell_index, rep_index))
+
+
+def _built_then(draws: GeneratorType, start_next):
+    """The paused design ``draws``, calling ``start_next`` once it has built its panel."""
+    gen = yield from draws
+    start_next()
+    return gen
 
 
 # In the calling process, cells of at most this many observations (n * T)
@@ -182,13 +198,10 @@ ONE_BLAS_THREAD_MAX_OBS = 1_000_000
 
 
 def _run_here(plan: ExperimentPlan, tasks: list) -> list:
-    """Run ``tasks`` in this process. One helper thread draws the next
-    task's random numbers while this thread builds, fits and tests the
-    current one. The next draw starts once the current panel is built, so
-    one task's draws at most are held ahead, and none during a build. BLAS
-    runs on one thread for cells up to ``ONE_BLAS_THREAD_MAX_OBS``
-    observations, and the caller's count is back on return. The outcomes
-    are ``_run_task``'s."""
+    """Run ``tasks`` in this process, one draw ahead on a helper thread, with
+    BLAS on one thread for cells up to ``ONE_BLAS_THREAD_MAX_OBS``
+    observations and the caller's count back on return. The outcomes are
+    ``_run_task``'s."""
     from concurrent.futures import ThreadPoolExecutor
 
     previous = _set_blas_threads(1)
@@ -214,7 +227,7 @@ def _run_here(plan: ExperimentPlan, tasks: list) -> list:
                 except _FAILURE_CAUSES as exc:
                     outcomes.append(_failed(exc, plan.tests))
                 else:
-                    draws.when_built = draw_next
+                    draws = _built_then(draws, draw_next)
                     outcomes.append(run_replication(cell, plan.tests, plan.alpha, draws))
                 draw_next()  # where no panel was built
     finally:
@@ -309,12 +322,9 @@ def run_experiment(plan: ExperimentPlan) -> RejectionReport:
     oversubscribing them. The calling process, when it runs the
     replications itself, does the same for cells of up to
     ``ONE_BLAS_THREAD_MAX_OBS`` observations and keeps its own count for
-    larger ones, and its own setting is restored on return. There a helper
-    thread draws the next replication's random numbers while the current
-    one is fitted and tested, one replication ahead. The calling process
-    and every worker pin glibc's malloc
-    thresholds (``_pin_heap``), and the calling process keeps them after
-    this returns.
+    larger ones, and its own setting is restored on return. The calling
+    process and every worker pin glibc's malloc thresholds (``_pin_heap``),
+    and the calling process keeps them after this returns.
     """
     start = time.perf_counter()
     _pin_heap()

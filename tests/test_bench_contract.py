@@ -11,6 +11,7 @@ call the benchmark makes to one of them binds to its current signature.
 import ast
 import importlib
 import inspect
+import threading
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,31 @@ def test_benchmark_call_binds_to_the_current_signature(label):
     for attr in attrs:
         obj = getattr(obj, attr)
     inspect.signature(obj).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_wrapped_names_run_on_the_main_thread_at_one_worker(monkeypatch, tmp_path, capsys):
+    # The tracer keeps a single stack, so at one worker every name it wraps
+    # must run on the calling thread: the loop's draw helper calls only
+    # draw_panel, which the benchmark does not wrap.
+    from panelcd import cli
+    from panelcd.dgp import Alternative, DgpConfig, generate_panel
+    from panelcd.mc import ExperimentPlan, run_experiment
+
+    data = tmp_path / "panel.csv"
+    with open(data, "w", encoding="utf-8", newline="\n") as fh:
+        cli.dump_panel_csv(generate_panel(DgpConfig(dgp=2, t=30, n=12, seed=4)).panel, fh)
+    threads = {}
+    for module, attr in sorted(_span_targets()):
+        mod = importlib.import_module(module)
+
+        def recorded(*args, _fn=getattr(mod, attr), _name=f"{module}.{attr}", **kwargs):
+            threads.setdefault(_name, set()).add(threading.current_thread())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, recorded)
+    cell = DgpConfig(dgp=1, t=30, n=12, alternative=Alternative.SPARSE)
+    run_experiment(ExperimentPlan(cells=(cell,), reps=4, tests=("RLM", "LM_adj"), workers=1))
+    assert cli.main(["test", "--data", str(data)]) == 0
+    capsys.readouterr()
+    assert set(threads) == {f"{module}.{attr}" for module, attr in _span_targets()}
+    assert all(seen == {threading.main_thread()} for seen in threads.values()), threads

@@ -309,6 +309,24 @@ class TestLoadPanelCsv:
         assert loaded.unit_ids == gen.panel.unit_ids
         assert loaded.time_ids == gen.panel.time_ids
 
+    def test_labels_needing_quotes_survive_load_dump_load(self, tmp_path):
+        first = tmp_path / "first.csv"
+        with open(first, "w", encoding="utf-8", newline="") as fh:
+            rows = csv.writer(fh, lineterminator="\n")
+            rows.writerow(["unit", "time", "y", "x1"])
+            for u, unit in enumerate(["A, Inc", 'say "hi"', "plain"]):
+                for s, time in enumerate(["2001,Q1", "2001 Q2", "2001 Q3"]):
+                    rows.writerow([unit, time, 0.5 * u + s * s, u - 0.25 * s])
+        loaded = load_panel_csv(str(first))
+        second = tmp_path / "second.csv"
+        with open(second, "w", encoding="utf-8", newline="\n") as fh:
+            dump_panel_csv(loaded, fh)
+        assert '"A, Inc",' in second.read_text(encoding="utf-8")
+        again = load_panel_csv(str(second))
+        assert again.unit_ids == loaded.unit_ids == ("A, Inc", "plain", 'say "hi"')
+        assert again.time_ids == loaded.time_ids
+        assert np.array_equal(again.y, loaded.y) and np.array_equal(again.x, loaded.x)
+
 
 class TestEmitReport:
     def _result(self, p):
@@ -469,6 +487,13 @@ class TestEndToEnd:
         assert main(argv + ["--output", str(out1)]) == 0
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_simulate_with_a_negative_seed_is_a_runtime_error(self, capsys):
+        argv = "simulate --dgp 1 --T 10 --n 3 --reps 3 --seed -1".split()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "panelcd: error: root_seed must be a non-negative integer\n"
 
     def test_dump_dgp_writes_csv(self, tmp_path):
         out = tmp_path / "panel.csv"

@@ -1,5 +1,6 @@
 import concurrent.futures
 import ctypes
+import inspect
 import os
 import subprocess
 import sys
@@ -160,6 +161,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="alpha"):
             ExperimentPlan(cells=(small_cell(),), reps=3, alpha=alpha, tests=("RLM",))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("root_seed", [-1, 1.5])
+    def test_bad_root_seed_is_refused_at_any_worker_count(self, root_seed, workers):
+        # it used to count as failed replications at one worker, and raise from the pool at two
+        with pytest.raises(ValueError, match="root_seed must be a non-negative integer"):
+            ExperimentPlan(cells=(small_cell(),), reps=3, tests=("RLM",), root_seed=root_seed,
+                           workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -5, 1.5])
+    def test_bad_worker_count_is_refused(self, workers):
+        with pytest.raises(ValueError, match="need workers >= 1"):
+            ExperimentPlan(cells=(small_cell(),), reps=3, tests=("RLM",), workers=workers)
+
     def test_tests_reordered_canonically(self):
         plan = ExperimentPlan(cells=(small_cell(),), reps=2, tests=("RLM_PE", "LM", "RLM"))
         assert plan.tests == ("LM", "RLM", "RLM_PE")
@@ -227,7 +241,7 @@ class TestInProcessLoop:
             return real_draw(cfg, rng)
 
         def generate(cfg, rng):
-            assert isinstance(rng, dgp.PanelDraws)
+            assert inspect.isgenerator(rng)
             events.append(("generate", None, threading.current_thread()))
             return real_generate(cfg, rng)
 
@@ -235,9 +249,9 @@ class TestInProcessLoop:
             events.append(("replication", None, threading.current_thread()))
             return real_replication(*args)
 
-        def recorded(build):
-            def wrapper(cfg, draws):
-                gen = build(cfg, draws)
+        def recorded(design):
+            def wrapper(cfg, rng):
+                gen = yield from design(cfg, rng)
                 events.append(("built", None, threading.current_thread()))
                 return gen
             return wrapper
@@ -258,8 +272,8 @@ class TestInProcessLoop:
         monkeypatch.setattr(mc, "generate_panel", generate)
         monkeypatch.setattr(mc, "run_replication", replication)
         monkeypatch.setattr(mc, "run_all", run_all)
-        for d, (draw_phase, build_phase) in dgp._DESIGNS.items():
-            monkeypatch.setitem(dgp._DESIGNS, d, (draw_phase, recorded(build_phase)))
+        for d, design in dgp._DESIGNS.items():
+            monkeypatch.setitem(dgp._DESIGNS, d, recorded(design))
         mc._run_here(self.PLAN, self.TASKS)
         draws = [e for e in events if e[0] == "draw"]
         assert [key for _, key, _ in draws] == self.TASKS
@@ -328,8 +342,9 @@ class TestInProcessLoop:
                          alternative=Alternative.SPARSE)
         plan = ExperimentPlan(cells=(cell,), reps=10, tests=("RLM", "RLM_PE"), root_seed=3)
         run_experiment(plan)  # first-call allocations stay out of both peaks
-        draws = sum(a.nbytes for a in dgp.draw_panel(cell, derive_stream(3, 0, 0)).take()
-                    if a is not None)
+        paused = dgp.draw_panel(cell, derive_stream(3, 0, 0))
+        draws = sum(a.nbytes for a in paused.gi_frame.f_locals.values()
+                    if isinstance(a, np.ndarray))
         peaks = []
         for run in (lambda: run_replication(cell, plan.tests, plan.alpha, derive_stream(3, 0, 0)),
                     lambda: run_experiment(plan)):
