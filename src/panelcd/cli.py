@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import re
@@ -378,39 +379,34 @@ def _read_chunks(path: str):
         header = _read_header(reader)
         width = len(header)
 
-        records = enumerate(reader, start=2)
-        lineno = 1
-        flat: list = []  # the cells of one chunk of records
-        done = False
-        while not done:
+        def read_records():
+            # full-width records; a blank row is noted, a wrong-width row or an
+            # unreadable record is the stop fault (an earlier fault still wins)
+            nonlocal stop_fault
+            lineno = 1
             try:
-                for lineno, row in records:
-                    if len(row) != width:
-                        if not row or (len(row) == 1 and not row[0].strip()):
-                            blank_lines.append(lineno)
-                            continue
-                        # rows after this one are never read; an earlier fault still wins
+                for lineno, row in enumerate(reader, start=2):
+                    if len(row) == width:
+                        yield row
+                    elif not row or (len(row) == 1 and not row[0].strip()):
+                        blank_lines.append(lineno)
+                    else:
                         stop_fault = CsvParseError(lineno, f"expected {width} fields, got {len(row)}")
-                        done = True
-                        break
-                    flat.extend(row)
-                    if len(flat) == CSV_CHUNK_ROWS * width:
-                        break
-                else:
-                    done = True
+                        return
             except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-                # read like a wrong-width row: reading stops, an earlier fault wins
                 stop_fault = CsvParseError(lineno + 1, str(exc))
-                done = True
-            if flat:
-                values, indices, bad = _convert_chunk(flat, width, label_index)
-                flat.clear()
-                if bad is not None and non_numeric is None:
-                    non_numeric = (rows + bad[0],) + bad[1:]
-                blocks.append(values)
-                for col, index in zip(label_cols, indices):
-                    col.append(index)
-                rows += len(values)
+
+        records = read_records()
+        # the cells of one chunk of records, in one flat list
+        while flat := list(itertools.chain.from_iterable(itertools.islice(records, CSV_CHUNK_ROWS))):
+            values, indices, bad = _convert_chunk(flat, width, label_index)
+            del flat  # not held while the next chunk is read
+            if bad is not None and non_numeric is None:
+                non_numeric = (rows + bad[0],) + bad[1:]
+            blocks.append(values)
+            for col, index in zip(label_cols, indices):
+                col.append(index)
+            rows += len(values)
 
     if not rows:
         raise stop_fault or CsvParseError(2, "no data rows")
@@ -480,17 +476,8 @@ def _panel(add_intercept, header, found, index, blocks, blank_lines=(), non_nume
     for block in blocks:
         placed[cell[start : start + len(block)]] = block
         start += len(block)
-    k_raw, base = width - 3, 1 if add_intercept else 0
-    x = np.empty((n, t, base + k_raw))
-    x[:, :, :base] = 1.0
-    x[:, :, base:] = placed[:, 1:].reshape(n, t, k_raw)
-    return PanelDataset(
-        y=placed[:, 0].reshape(n, t),
-        x=x,
-        unit_ids=tuple(units),
-        time_ids=tuple(times),
-        has_intercept=add_intercept,
-    )
+    columns = [placed[:, c].reshape(n, t) for c in range(width - 2)]
+    return PanelDataset._built(columns[0], columns[1:], units, times, add_intercept)
 
 
 def dump_panel_csv(panel: PanelDataset, fh) -> None:

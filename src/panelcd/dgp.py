@@ -74,7 +74,9 @@ class DgpConfig:
 
     ``k`` counts the regressor columns, intercept included. Left out, it
     takes the design's default: 2 for dgps 1 and 3, 3 for dgp 2 and 0 for
-    dgp 4 (the only values dgps 2 and 4 accept).
+    dgp 4 (the only values dgps 2 and 4 accept). ``seed`` is a non-negative
+    integer; under the dense alternative ``h`` is positive and its loading
+    bound sqrt(3h/n) finite. A broken rule raises ``ValueError``.
     """
 
     dgp: int
@@ -96,8 +98,9 @@ class DgpConfig:
             raise ValueError("need T >= 10")
         if self.n < 3:
             raise ValueError("need n >= 3")
-        if self.alternative is Alternative.DENSE and not self.h > 0:
-            raise ValueError("dense alternative needs h > 0")
+        dense = self.alternative is Alternative.DENSE
+        if dense and not (self.h > 0 and math.isfinite(math.sqrt(3.0 * self.h / self.n))):
+            raise ValueError(f"dense alternative needs h > 0 with a finite bound sqrt(3h/n), got h={self.h!r}")
         if self.dgp in (1, 3) and self.k < 2:
             raise ValueError(f"dgp {self.dgp} needs k >= 2 (intercept plus regressors)")
         if self.dgp == 2 and self.k != 3:
@@ -106,6 +109,8 @@ class DgpConfig:
             raise ValueError("dgp 4 has no exogenous regressors; pass k = 0")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -204,13 +209,8 @@ def _maybe_loadings(cfg: DgpConfig, rng: np.random.Generator) -> Optional[np.nda
 def _assemble(y: np.ndarray, x_cols) -> PanelDataset:
     """The panel of response ``y`` (n, T) with an intercept, then ``x_cols``."""
     n, t = y.shape
-    x = np.empty((n, t, 1 + len(x_cols)))
-    x[:, :, 0] = 1.0
-    for pos, col in enumerate(x_cols, start=1):
-        x[:, :, pos] = col
-    units = tuple(str(i) for i in range(1, n + 1))
-    times = tuple(str(s) for s in range(1, t + 1))
-    return PanelDataset._of_own_arrays(np.ascontiguousarray(y), x, units, times)
+    return PanelDataset._built(y, x_cols, [str(i) for i in range(1, n + 1)],
+                               [str(s) for s in range(1, t + 1)])
 
 
 def _dgp1(cfg: DgpConfig, rng: np.random.Generator):

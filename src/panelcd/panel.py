@@ -10,6 +10,10 @@ dependence tests, as selected by a :class:`ModelKind`:
 
 The intercept lives in one place, the panel: a dynamic fit's constant is
 the panel's intercept column, and nothing is appended to its design.
+Column 0 of x is that intercept, all ones; only this module writes it.
+``PanelDataset(...)`` checks and freezes copies of the caller's y and x.
+The CSV reader and the generators use ``PanelDataset._built``, which
+writes x itself and freezes the grids it made without copying them.
 
 All three are one least-squares problem on a stack of designs (per unit,
 pooled and demeaned, or lag-augmented). Each stack is factored once, for
@@ -26,7 +30,7 @@ every broken rule, fit raises the first.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -73,6 +77,9 @@ class PanelDataset:
     has_intercept : bool
         When True, column 0 of ``x`` is the intercept and must be
         identically 1.
+
+    The constructor freezes private copies of ``y`` and ``x``; the package's
+    reader and generators use :meth:`_built`, which keeps the grids it made.
     """
 
     y: np.ndarray
@@ -89,21 +96,20 @@ class PanelDataset:
                      np.array(self.x, dtype=np.float64, order="C"))
 
     @classmethod
-    def _of_own_arrays(cls, y: np.ndarray, x: np.ndarray, unit_ids, time_ids) -> "PanelDataset":
-        """Wrap C-contiguous float64 grids the package made itself; they are
-        checked and frozen, not copied. Every other field takes its default."""
+    def _built(cls, y: np.ndarray, regressor_columns, unit_ids, time_ids,
+               has_intercept: bool = True) -> "PanelDataset":
+        """The panel of grids the package made: ``y`` (n, T), kept when it is
+        C-contiguous float64, and (n, T) regressor columns, each copied once
+        into a new x after its column of ones when ``has_intercept``. Both
+        grids are checked and frozen in place; ``__post_init__`` does not run."""
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        base = 1 if has_intercept else 0
+        x = np.empty(y.shape + (base + len(regressor_columns),))
+        x[:, :, :base] = 1.0
+        for pos, col in enumerate(regressor_columns, start=base):
+            x[:, :, pos] = col
         panel = cls.__new__(cls)
-        given = {"y": y, "x": x, "unit_ids": unit_ids, "time_ids": time_ids}
-        for f in fields(cls):
-            if f.name in given:
-                value = given[f.name]
-            elif f.default_factory is not MISSING:
-                value = f.default_factory()
-            elif f.default is not MISSING:
-                value = f.default
-            else:
-                raise TypeError(f"PanelDataset field {f.name!r} has no default")
-            object.__setattr__(panel, f.name, value)
+        vars(panel).update(unit_ids=unit_ids, time_ids=time_ids, has_intercept=has_intercept, _fits={})
         panel._settle(y, x)
         return panel
 
@@ -306,8 +312,8 @@ def _fitted_stack(data: PanelDataset, kind: ModelKind) -> _LeastSquares:
     Per-unit designs for heterogeneous fits, lag-augmented ones for dynamic
     fits, the pooled demeaned stack for the within estimator. The result is
     kept on the panel, read-only, so ``fit`` after ``validate_dataset``
-    reuses the validation's factorization. The panel's arrays are read-only
-    private copies, so a kept result cannot go stale.
+    reuses the validation's factorization. The panel's grids are frozen, so
+    a kept result cannot go stale.
 
     An intercept-only within stack has no columns: its residuals are the
     demeaned response, and the empty design passes the rank test.

@@ -26,6 +26,7 @@ from panelcd.panel import fit
 
 # one more digit than the csv module's field limit
 OVERSIZE = "9" * (csv.field_size_limit() + 1)
+H_BOUND = "dense alternative needs h > 0 with a finite bound sqrt(3h/n), got h="
 
 
 class TestParseArgs:
@@ -73,6 +74,25 @@ class TestParseArgs:
         assert "--workers" in capsys.readouterr().err
         monkeypatch.setenv("PANELCD_WORKERS", "3")
         assert parse_args("simulate --dgp 1 --T 50 --n 25".split()).workers == 3
+
+    @pytest.mark.parametrize("command", ["dump-dgp", "simulate"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--seed -1", "seed must be a non-negative integer"),
+            ("--alternative dense --h inf", H_BOUND + "inf"),
+            ("--alternative dense --h 1e308", H_BOUND + "1e+308"),
+        ],
+        ids=["seed", "h-inf", "h-1e308"],
+    )
+    def test_bad_seed_or_h_is_a_usage_error(self, capsys, command, flags, message):
+        # once numpy's "expected non-negative integer" at exit 1, or an
+        # OverflowError traceback from Generator.uniform
+        with pytest.raises(SystemExit) as exc:
+            main(f"{command} --dgp 1 --T 10 --n 3 {flags}".split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f"panelcd: error: {message}\n")
 
     def test_unknown_test_name(self):
         with pytest.raises(SystemExit) as exc:
@@ -488,12 +508,13 @@ class TestEndToEnd:
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_simulate_with_a_negative_seed_is_a_runtime_error(self, capsys):
-        argv = "simulate --dgp 1 --T 10 --n 3 --reps 3 --seed -1".split()
-        assert main(argv) == 1
+    def test_simulate_with_a_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main("simulate --dgp 1 --T 10 --n 3 --reps 3 --seed -1".split())
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "panelcd: error: root_seed must be a non-negative integer\n"
+        assert captured.err.endswith("panelcd: error: seed must be a non-negative integer\n")
 
     def test_dump_dgp_writes_csv(self, tmp_path):
         out = tmp_path / "panel.csv"

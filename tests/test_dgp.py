@@ -41,6 +41,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DgpConfig(dgp=1, t=30, n=10, alternative=Alternative.DENSE, h=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        # -1 once passed here and failed only when the generator was seeded
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            DgpConfig(dgp=1, t=30, n=10, seed=seed)
+        assert DgpConfig(dgp=1, t=30, n=10, seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("h", [np.inf, 1e308])
+    def test_dense_refuses_an_h_whose_loading_bound_is_not_finite(self, h):
+        # both once ended in an OverflowError from Generator.uniform
+        with pytest.raises(ValueError, match=r"sqrt\(3h/n\), got h="):
+            DgpConfig(dgp=1, t=30, n=10, alternative=Alternative.DENSE, h=h)
+        # the rule is the dense alternative's only
+        DgpConfig(dgp=1, t=30, n=10, alternative=Alternative.SPARSE, h=h)
+        big = generate_panel(DgpConfig(dgp=1, t=30, n=10, alternative=Alternative.DENSE, h=1e307))
+        assert np.isfinite(big.true_loadings).all()
+
     def test_k_defaults_per_dgp(self):
         assert [DgpConfig(dgp=d, t=30, n=10).k for d in (1, 2, 3, 4)] == [2, 3, 2, 0]
         assert DgpConfig(dgp=1, t=30, n=10) == DgpConfig(dgp=1, t=30, n=10, k=2)

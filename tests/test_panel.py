@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from panelcd import cli
 from panelcd.cd_stats import TestConfig, run_all
+from panelcd.cli import dump_panel_csv, load_panel_csv
+from panelcd.dgp import DgpConfig, generate_panel
 from panelcd.panel import (
     RANK_TOL,
     ModelKind,
@@ -244,18 +247,50 @@ class TestPanelDataset:
         with pytest.raises(PanelError, match=f"^{grid} has 1 non-finite value.*unit 3, time 6"):
             PanelDataset(y=y, x=x, unit_ids=panel.unit_ids, time_ids=panel.time_ids)
         with pytest.raises(PanelError, match=f"^{grid} has 1 non-finite value.*unit 3, time 6"):
-            PanelDataset._of_own_arrays(y, x, panel.unit_ids, panel.time_ids)
+            PanelDataset._built(y, [x[:, :, 1]], panel.unit_ids, panel.time_ids)
 
     def test_own_arrays_are_frozen_in_place(self, rng):
-        # the generators' path: the grids they made are kept, not copied
+        # the reader's and generators' path: the grids the builder made or was
+        # given are kept, not copied
         panel = random_panel(rng, n=4, t=10, k=2)
-        y, x = panel.y.copy(), panel.x.copy()
-        own = PanelDataset._of_own_arrays(y, x, list(panel.unit_ids), list(panel.time_ids))
-        assert own.y is y and own.x is x
-        assert not y.flags.writeable and not x.flags.writeable
+        y, col = panel.y.copy(), panel.x[:, :, 1].copy()
+        own = PanelDataset._built(y, [col], list(panel.unit_ids), list(panel.time_ids))
+        assert own.y is y and not y.flags.writeable and not own.x.flags.writeable
+        assert own.x.tobytes() == panel.x.tobytes() and col.flags.writeable
         assert own.has_intercept and (own.unit_ids, own.time_ids) == (panel.unit_ids, panel.time_ids)
         assert vars(own).keys() == vars(panel).keys() and own._fits == {}
         assert fit(own, HET).resid.tobytes() == fit(panel, HET).resid.tobytes()
+        # a grid in any other layout is copied once, and the caller's stays writable
+        fortran = np.asfortranarray(panel.y)
+        bare = PanelDataset._built(fortran, [col], panel.unit_ids, panel.time_ids, has_intercept=False)
+        assert bare.y is not fortran and fortran.flags.writeable and bare.y.flags.c_contiguous
+        assert not bare.has_intercept and bare.x.tobytes() == col[:, :, None].tobytes()
+
+    def test_package_panels_never_take_the_copying_constructor(self, tmp_path, monkeypatch):
+        # the CSV reader (both paths) and the generators hand their grids to
+        # the builder; the public constructor's copies would raise the load peak
+        def post_init(self):
+            raise AssertionError("PanelDataset.__post_init__ ran")
+
+        def chunked_reader(path):
+            raise AssertionError("the chunked reader ran")
+
+        monkeypatch.setattr(PanelDataset, "__post_init__", post_init)
+        for dgp in (1, 2, 3, 4):
+            panel = generate_panel(DgpConfig(dgp=dgp, t=12, n=5, seed=dgp)).panel
+            path = tmp_path / f"dgp{dgp}.csv"
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                dump_panel_csv(panel, fh)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_read_chunks", chunked_reader)
+                whole = load_panel_csv(str(path))
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_load_whole", lambda path, add_intercept: None)
+                chunked = load_panel_csv(str(path))
+            for loaded in (whole, chunked):
+                assert loaded.y.tobytes() == panel.y.tobytes()
+                assert loaded.x.tobytes() == panel.x.tobytes()
+                assert (loaded.unit_ids, loaded.time_ids) == (panel.unit_ids, panel.time_ids)
 
 
 class TestHeterogeneous:
