@@ -179,8 +179,10 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         args.test_names = _parse_tests(args.tests, parser)
     if hasattr(args, "alpha") and not 0.0 < args.alpha < 1.0:
         parser.error("--alpha must lie in (0, 1)")
-    if args.command == "simulate" and args.workers < 1:
-        parser.error("--workers must be >= 1")
+    if args.command == "simulate":
+        for flag in ("reps", "workers"):
+            if getattr(args, flag) < 1:
+                parser.error(f"--{flag} must be >= 1")
     return args
 
 
@@ -264,12 +266,14 @@ def load_panel_csv(path: str, add_intercept: bool = True) -> PanelDataset:
     UTF-8 byte-order mark is skipped.
 
     The file is first read whole by numpy's C parser, labels as fixed-width
-    bytes. Where that reading cannot be shown to match the csv module's, and
-    on any fault, the file is read again through the csv module in chunks of
-    ``CSV_CHUNK_ROWS`` records; that reader alone reports faults. Working
-    memory is O(nT) on either path: the panel's numbers plus fixed-width
-    label bytes or label indices per record, never one string per cell of
-    the file.
+    bytes; the faults found on that reading (a duplicate, two spellings of
+    one number, a gap, a non-finite value) are raised from it. Only a file
+    that reading declines, for a parse fault or where it cannot be shown to
+    match the csv module's, is read again through the csv module in chunks
+    of ``CSV_CHUNK_ROWS`` records; that reader alone reports parse faults.
+    Working memory is O(nT) on either path: the panel's numbers plus
+    fixed-width label bytes or label indices per record, never one string
+    per cell of the file.
 
     Raises
     ------
@@ -299,9 +303,10 @@ _BLANK_ROWS = [re.compile(brk + rb"[ \t]+(?=[\r\n])") for brk in (rb"\n", rb"\r"
 
 def _load_whole(path: str, add_intercept: bool) -> Optional[PanelDataset]:
     """The panel read by numpy's C parser in one call, or None wherever that
-    reading could differ from the chunked reader's, faults included. Labels
-    stay fixed-width bytes; only each column's distinct labels, found by
-    hashing those bytes, become strings."""
+    reading could differ from the chunked reader's, parse faults included;
+    ``_panel``'s faults are raised as that reader raises them. Labels stay
+    fixed-width bytes; only each column's distinct labels, found by hashing
+    those bytes, become strings, in first-seen order."""
     if not os.path.isfile(path):  # a pipe cannot be read twice
         return None
     try:
@@ -348,6 +353,9 @@ def _load_whole(path: str, add_intercept: bool) -> Optional[PanelDataset]:
             key = (key ^ word) * np.uint64(0x9E3779B97F4A7C15)
         _, first, col = np.unique(key, return_index=True, return_inverse=True)
         del key  # not held while the panel is placed, where the load peaks
+        # first-seen order, as the chunked reader lists labels
+        order = np.argsort(first)
+        first, col = first[order], np.argsort(order)[col]
         raw = records[name][first].tolist()
         text = [b.decode("ascii").strip() for b in raw]
         # a hash shared by two labels; a label maybe cut short; two labels that
@@ -360,8 +368,10 @@ def _load_whole(path: str, add_intercept: bool) -> Optional[PanelDataset]:
         cols.append(col)
     try:
         return _panel(add_intercept, header, labels, cols, [records["values"]])
-    except (CsvError, PanelError):  # a fault's line counts the blank rows numpy skipped
-        return None
+    except CsvParseError:  # its line must count the empty rows numpy skipped
+        with open(path, "rb") as fh:
+            blank = [line for line, row in enumerate(fh.read().splitlines(), start=1) if not row]
+        return _panel(add_intercept, header, labels, cols, [records["values"]], blank)
 
 
 def _read_chunks(path: str):
@@ -471,13 +481,15 @@ def _panel(add_intercept, header, found, index, blocks, blank_lines=(), non_nume
             )
         raise UnbalancedPanelError("unbalanced panel: " + "; ".join(problems))
 
-    placed = np.empty((len(cell), width - 2))
+    # in (unit, time) order; y apart, so the panel's y keeps no regressor alive
+    y, regressors = np.empty(n * t), np.empty((width - 3, n * t))
     start = 0
     for block in blocks:
-        placed[cell[start : start + len(block)]] = block
+        at = cell[start : start + len(block)]
+        y[at], regressors[:, at] = block[:, 0], block[:, 1:].T
         start += len(block)
-    columns = [placed[:, c].reshape(n, t) for c in range(width - 2)]
-    return PanelDataset._built(columns[0], columns[1:], units, times, add_intercept)
+    return PanelDataset._built(y.reshape(n, t), regressors.reshape(-1, n, t), units, times,
+                               add_intercept)
 
 
 def dump_panel_csv(panel: PanelDataset, fh) -> None:
@@ -544,17 +556,13 @@ def _report_csv(report: RejectionReport) -> str:
 
 
 def _report_table(report: RejectionReport) -> str:
-    cells = []
-    for row in report.rows:
-        key = (row.cell_index, row.t, row.n, row.dist, row.alternative)
-        if key not in cells:
-            cells.append(key)
+    cells = dict.fromkeys((row.cell_index, row.t, row.n, row.dist, row.alternative)
+                          for row in report.rows)
     lines = [
         f"rejection frequencies (percent), alpha={report.alpha:g}, "
         f"reps={report.reps}, seed={report.root_seed}"
     ]
-    for key in cells:
-        ci, t, n, dist, alt = key
+    for ci, t, n, dist, alt in cells:
         lines.append("")
         lines.append(f"(T,n)=({t},{n})  errors={dist}  alternative={alt}")
         lines.append(f"{'test':<8} {'frequency':>10} {'mc_se':>8} {'failed':>7}")
@@ -645,11 +653,7 @@ def _cmd_dump(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.command == "test":
-            return _cmd_test(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_dump(args)
+        return {"test": _cmd_test, "simulate": _cmd_simulate, "dump-dgp": _cmd_dump}[args.command](args)
     except (CsvError, PanelError, OSError, ValueError) as exc:
         print(f"panelcd: error: {exc}", file=sys.stderr)
         return 1

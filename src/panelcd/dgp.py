@@ -27,11 +27,12 @@ regressor innovations, then disturbances), so one seed pins the panel
 bit-for-bit.
 
 Each design is one generator function. It takes every random number from
-``rng``, in that order, scaling the draws in place, and pauses at a bare
-``yield``. Resumed, it takes no random numbers: it adds the factor, runs
-the recursions and returns the panel (a return, not a second ``yield``,
-so the finished design holds no draws). :func:`draw_panel` runs a design
-up to its pause, and :func:`generate_panel` resumes it.
+``rng``, in that order, scaling the draws in place and adding the factor
+to the noise, and pauses at a bare ``yield`` holding finished
+disturbances. Resumed, it takes no random numbers: it runs the recursions
+and returns the panel (a return, not a second ``yield``, so the finished
+design holds no draws). :func:`draw_panel` runs a design up to its pause,
+and :func:`generate_panel` resumes it.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ class DgpConfig:
 
     ``k`` counts the regressor columns, intercept included. Left out, it
     takes the design's default: 2 for dgps 1 and 3, 3 for dgp 2 and 0 for
-    dgp 4 (the only values dgps 2 and 4 accept). ``seed`` is a non-negative
-    integer; under the dense alternative ``h`` is positive and its loading
-    bound sqrt(3h/n) finite. A broken rule raises ``ValueError``.
+    dgp 4 (the only values dgps 2 and 4 accept). ``t``, ``n``, ``k`` and
+    ``burn_in`` are integers and ``seed`` a non-negative one; under the
+    dense alternative ``h`` is positive and its loading bound sqrt(3h/n)
+    finite. A broken rule raises ``ValueError``.
     """
 
     dgp: int
@@ -94,6 +96,9 @@ class DgpConfig:
             raise ValueError("dgp must be 1, 2, 3 or 4")
         if self.k is None:
             object.__setattr__(self, "k", _DEFAULT_K[self.dgp])
+        for name in ("t", "n", "k", "burn_in"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.t < 10:
             raise ValueError("need T >= 10")
         if self.n < 3:
@@ -115,10 +120,9 @@ class DgpConfig:
 
 @dataclass(frozen=True)
 class GeneratedPanel:
-    """A generated panel, the loadings that produced it, and how to fit it."""
+    """A generated panel and how to fit it."""
 
     panel: PanelDataset
-    true_loadings: Optional[np.ndarray]
     model_spec: ModelKind
 
 
@@ -178,25 +182,19 @@ def _ar_innovations(n: int, n_reg: int, span: int, rng: np.random.Generator) -> 
 
 def _disturbances(
     cfg: DgpConfig, rows: int, cols: int, rng: np.random.Generator, lam: Optional[np.ndarray]
-) -> tuple:
-    """The draws behind the disturbances, for :func:`_loaded`. Null: no
-    factor, and per-unit chi-squared(2)/2 scale times iid noise;
-    alternative: the common factor, and iid noise."""
+) -> np.ndarray:
+    """The disturbances. Null: per-unit chi-squared(2)/2 scale times iid
+    noise; alternative: iid noise plus loading * common factor, added in
+    place to each loaded unit's row, so no (rows, cols) product is made."""
     if lam is None:
         sigma = rng.chisquare(2, rows) / 2.0
         eps = gen_errors(cfg.error_dist, rows, cols, rng)
         eps *= sigma[:, None]
-        return None, eps
+        return eps
     f = rng.standard_normal(cols)
-    return f, gen_errors(cfg.error_dist, rows, cols, rng)
-
-
-def _loaded(lam: Optional[np.ndarray], f: Optional[np.ndarray], eps: np.ndarray) -> np.ndarray:
-    """The disturbances: ``eps`` under the null, loading * factor + ``eps``
-    under an alternative, summed into ``eps`` (a sum is the same bits in
-    either order)."""
-    if lam is not None:
-        eps += lam[:, None] * f[None, :]
+    eps = gen_errors(cfg.error_dist, rows, cols, rng)
+    for i in np.flatnonzero(lam):
+        eps[i] += lam[i] * f
     return eps
 
 
@@ -221,13 +219,12 @@ def _dgp1(cfg: DgpConfig, rng: np.random.Generator):
     alpha = rng.normal(1.0, 1.0, n)
     beta = rng.normal(1.0, 0.2, (n, k - 1))
     innov = _ar_innovations(n, k - 1, cfg.burn_in + 1 + cfg.t, rng)
-    f, eps = _disturbances(cfg, n, cfg.t, rng, lam)
+    v = _disturbances(cfg, n, cfg.t, rng, lam)
     yield
-    v = _loaded(lam, f, eps)
     xreg = _ar1(innov)[:, :, cfg.burn_in + 1 :]
     y = alpha[:, None] + np.einsum("nl,nlt->nt", beta, xreg) + v
     panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)])
-    return GeneratedPanel(panel, lam, ModelKind.HETEROGENEOUS)
+    return GeneratedPanel(panel, ModelKind.HETEROGENEOUS)
 
 
 def _dgp2_recursion(alpha, beta1, beta2, x1, u2, v):
@@ -264,13 +261,12 @@ def _dgp2(cfg: DgpConfig, rng: np.random.Generator):
     beta1 = rng.normal(1.0, 0.2, n)
     beta2 = _stable_lag_coefs(n, rng, limit=MAX_FEEDBACK_SLOPE)
     u = _ar_innovations(n, 2, p + cfg.t, rng)
-    f, eps = _disturbances(cfg, n, p + cfg.t, rng, lam)
+    v = _disturbances(cfg, n, p + cfg.t, rng, lam)
     yield
-    v = _loaded(lam, f, eps)
     x1 = _ar1(u[:, 0, :])
     x2, y = _dgp2_recursion(alpha, beta1, beta2, x1, u[:, 1, :], v)
     panel = _assemble(y[:, p:], [x1[:, p:], x2[:, p:]])
-    return GeneratedPanel(panel, lam, ModelKind.HETEROGENEOUS)
+    return GeneratedPanel(panel, ModelKind.HETEROGENEOUS)
 
 
 def _dgp3(cfg: DgpConfig, rng: np.random.Generator):
@@ -280,14 +276,13 @@ def _dgp3(cfg: DgpConfig, rng: np.random.Generator):
     lam = _maybe_loadings(cfg, rng)
     mu = rng.normal(1.0, 1.0, n)
     innov = _ar_innovations(n, k - 1, cfg.burn_in + 1 + cfg.t, rng)
-    f, eps = _disturbances(cfg, n, cfg.t, rng, lam)
+    v = _disturbances(cfg, n, cfg.t, rng, lam)
     yield
-    v = _loaded(lam, f, eps)
     xreg = _ar1(innov)[:, :, cfg.burn_in + 1 :]
     slopes = np.arange(2, k + 1, dtype=np.float64)
     y = 1.0 + np.einsum("l,nlt->nt", slopes, xreg) + mu[:, None] + v
     panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)])
-    return GeneratedPanel(panel, lam, ModelKind.FIXED_EFFECTS)
+    return GeneratedPanel(panel, ModelKind.FIXED_EFFECTS)
 
 
 def _stable_lag_coefs(n: int, rng: np.random.Generator, limit: float = MAX_STABLE_LAG) -> np.ndarray:
@@ -331,13 +326,12 @@ def _dgp4(cfg: DgpConfig, rng: np.random.Generator):
     lam = _maybe_loadings(cfg, rng)
     beta = _stable_lag_coefs(n, rng)
     eta = rng.normal(1.0, np.sqrt(2.0), n)
-    f, eps = _disturbances(cfg, n, p + cfg.t, rng, lam)
+    v = _disturbances(cfg, n, p + cfg.t, rng, lam)
     yield
-    v = _loaded(lam, f, eps)
     xi = v[:, p - 1] + eta  # disturbance at time 0 enters the fixed effect
     y = _dgp4_recursion(xi, beta, v)
     panel = _assemble(y[:, p:], [])
-    return GeneratedPanel(panel, lam, ModelKind.DYNAMIC)
+    return GeneratedPanel(panel, ModelKind.DYNAMIC)
 
 
 _DESIGNS = {1: _dgp1, 2: _dgp2, 3: _dgp3, 4: _dgp4}

@@ -56,7 +56,7 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.cells:
             raise ValueError("plan needs at least one cell")
-        if self.reps < 1:
+        if not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
             raise ValueError("need reps >= 1")
         if not isinstance(self.root_seed, (int, np.integer)) or self.root_seed < 0:
             raise ValueError("root_seed must be a non-negative integer")

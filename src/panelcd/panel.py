@@ -76,7 +76,7 @@ class PanelDataset:
         Labels, lengths n and T.
     has_intercept : bool
         When True, column 0 of ``x`` is the intercept and must be
-        identically 1.
+        identically 1; otherwise the constructor raises ``PanelError``.
 
     The constructor freezes private copies of ``y`` and ``x``; the package's
     reader and generators use :meth:`_built`, which keeps the grids it made.
@@ -94,6 +94,9 @@ class PanelDataset:
         # private copies: freezing them leaves the caller's arrays writable
         self._settle(np.array(self.y, dtype=np.float64, order="C"),
                      np.array(self.x, dtype=np.float64, order="C"))
+        # only caller-made panels need this check: _built writes the column itself
+        if self.has_intercept and not np.all(self.x[:, :, 0] == 1.0):
+            raise PanelError("intercept column (x column 0) is not identically 1")
 
     @classmethod
     def _built(cls, y: np.ndarray, regressor_columns, unit_ids, time_ids,
@@ -230,14 +233,12 @@ def validate_dataset(data: PanelDataset, kind: ModelKind) -> tuple:
     Report-only: returns the violation messages as a tuple instead of
     raising, so a front end can show all problems at once; an empty tuple
     means the panel is valid. Besides the estimator's rules, which ``fit``
-    enforces in the same words, the tests need n >= 3, a true intercept
-    column and no constant response. ``kind`` is read as in :func:`fit`.
+    enforces in the same words, the tests need n >= 3 and no constant
+    response. ``kind`` is read as in :func:`fit`.
     """
     kind = ModelKind(kind)
     v = [f"n < 3 (got n={data.n})"] if data.n < 3 else []
     v += [str(e) for e in _rule_breaks(data, kind)]
-    if data.has_intercept and not np.all(data.x[:, :, 0] == 1.0):
-        v.append("intercept column (x column 0) is not identically 1")
     constant = np.nonzero(np.all(data.y == data.y[:, :1], axis=1))[0]
     v += [f"constant response for unit {data.unit_ids[i]}" for i in constant]
     return tuple(v)

@@ -22,7 +22,7 @@ from panelcd.cli import (
 from panelcd import cd_stats, cli
 from panelcd.correlation import GRID_BLOCK
 from panelcd.dgp import DgpConfig, generate_panel
-from panelcd.panel import fit
+from panelcd.panel import PanelError, fit
 
 # one more digit than the csv module's field limit
 OVERSIZE = "9" * (csv.field_size_limit() + 1)
@@ -93,6 +93,15 @@ class TestParseArgs:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.endswith(f"panelcd: error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["--reps", "--workers"])
+    def test_simulate_count_below_one_is_a_usage_error(self, capsys, flag):
+        # --reps 0 once exited 1 with the plan's "need reps >= 1"
+        with pytest.raises(SystemExit) as exc:
+            main(f"simulate --dgp 1 --T 10 --n 3 {flag} 0".split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f"panelcd: error: {flag} must be >= 1\n")
 
     def test_unknown_test_name(self):
         with pytest.raises(SystemExit) as exc:
@@ -303,6 +312,34 @@ class TestLoadPanelCsv:
         loaded = load_panel_csv(str(out))
         assert loaded.y.tobytes() == gen.panel.y.tobytes()
         assert loaded.x.tobytes() == gen.panel.x.tobytes()
+
+    # faults found after the parse, with empty rows that numpy skips before
+    # them, each in every line ending
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("rows, error, message", [
+        (["a,1,1.0", "", "a,2,2.0", "a,2,3.0"], CsvParseError,
+         "line 5: duplicate observation for unit a, time 2"),
+        # in hash order the pair was named the other way round, on line 2
+        (["a,1,1.0", "", "a,1.0,2.0"], CsvParseError,
+         "line 4: time label '1.0' equals '1' as a number"),
+        (["a,1,1.0", "a,2,2.0", "", "b,1,3.0"], UnbalancedPanelError,
+         "unbalanced panel: unit b: 1/2 periods (missing 2)"),
+        (["a,1,1.0", "", "a,2,inf"], PanelError,
+         "y has 1 non-finite value(s), first at unit a, time 2"),
+    ], ids=["duplicate", "numeric-clash", "gap", "non-finite"])
+    def test_fault_file_is_parsed_once(self, tmp_path, monkeypatch, rows, error, message, end):
+        def chunked(*args):
+            raise AssertionError("the chunked reader ran")
+
+        f = tmp_path / "p.csv"
+        f.write_bytes(end.join(["unit,time,y"] + rows + [""]).encode())
+        with monkeypatch.context() as m, pytest.raises(error) as chunked_err:
+            m.setattr(cli, "_load_whole", lambda path, add_intercept: None)
+            load_panel_csv(str(f))
+        monkeypatch.setattr(cli, "_read_chunks", chunked)
+        with pytest.raises(error) as err:
+            load_panel_csv(str(f))
+        assert str(err.value) == str(chunked_err.value) == message
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_labels_padded_on_every_row_take_the_whole_file_reader(self, tmp_path, monkeypatch,

@@ -28,6 +28,12 @@ def cfg_for(dgp, **kw):
     return DgpConfig(**base)
 
 
+def drawn_loadings(cfg):
+    """The loadings ``cfg``'s design drew from ``cfg.seed``, read from its
+    frame at the pause: the panel does not carry them."""
+    return draw_panel(cfg, np.random.default_rng(cfg.seed)).gi_frame.f_locals["lam"]
+
+
 class TestConfigValidation:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -48,6 +54,14 @@ class TestConfigValidation:
             DgpConfig(dgp=1, t=30, n=10, seed=seed)
         assert DgpConfig(dgp=1, t=30, n=10, seed=np.int64(3)).seed == 3
 
+    @pytest.mark.parametrize("field, value", [("t", 20.5), ("t", 20.0), ("n", 5.0), ("k", 2.5),
+                                              ("burn_in", 50.0), ("n", "5")])
+    def test_refuses_a_size_that_is_not_an_integer(self, field, value):
+        # t=20.5 once passed here, and generate_panel raised TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            DgpConfig(**{"dgp": 1, "t": 20, "n": 5, field: value})
+        assert DgpConfig(dgp=1, t=np.int64(20), n=np.int32(5), k=np.int64(2)).t == 20
+
     @pytest.mark.parametrize("h", [np.inf, 1e308])
     def test_dense_refuses_an_h_whose_loading_bound_is_not_finite(self, h):
         # both once ended in an OverflowError from Generator.uniform
@@ -55,8 +69,9 @@ class TestConfigValidation:
             DgpConfig(dgp=1, t=30, n=10, alternative=Alternative.DENSE, h=h)
         # the rule is the dense alternative's only
         DgpConfig(dgp=1, t=30, n=10, alternative=Alternative.SPARSE, h=h)
-        big = generate_panel(DgpConfig(dgp=1, t=30, n=10, alternative=Alternative.DENSE, h=1e307))
-        assert np.isfinite(big.true_loadings).all()
+        big = DgpConfig(dgp=1, t=30, n=10, alternative=Alternative.DENSE, h=1e307)
+        assert np.isfinite(drawn_loadings(big)).all()
+        assert np.isfinite(generate_panel(big).panel.y).all()
 
     def test_k_defaults_per_dgp(self):
         assert [DgpConfig(dgp=d, t=30, n=10).k for d in (1, 2, 3, 4)] == [2, 3, 2, 0]
@@ -166,15 +181,14 @@ class TestGenerators:
         assert generate_panel(cfg_for(4)).model_spec is ModelKind.DYNAMIC
 
     def test_null_panels_carry_no_loadings(self):
-        assert generate_panel(cfg_for(1)).true_loadings is None
+        assert drawn_loadings(cfg_for(1)) is None
 
     def test_alternative_loadings_match_scheme_and_subseed(self):
-        cfg = cfg_for(1, n=100, alternative=Alternative.SPARSE, seed=9)
-        gen = generate_panel(cfg)
-        assert np.count_nonzero(gen.true_loadings) == 3
+        lam = drawn_loadings(cfg_for(1, n=100, alternative=Alternative.SPARSE, seed=9))
+        assert np.count_nonzero(lam) == 3
         # loadings are the first consumption of the stream
         expected = gen_loadings(Alternative.SPARSE, 100, np.random.default_rng(9))
-        assert np.array_equal(gen.true_loadings, expected)
+        assert np.array_equal(lam, expected)
 
     def test_dgp1_regressor_stationarity(self):
         # AR(1) with slope 0.6: Var(x) should equal Var(u)/(1-0.36)

@@ -65,7 +65,7 @@ class TestRunReplication:
             from conftest import build_panel
 
             panel = build_panel(gen.panel.y.copy(), x)
-            return type(gen)(panel=panel, true_loadings=None, model_spec=gen.model_spec)
+            return type(gen)(panel=panel, model_spec=gen.model_spec)
 
         monkeypatch.setattr(mc, "generate_panel", sabotage)
         out = run_replication(small_cell(), ("RLM",), 0.05, derive_stream(1, 0, 0))
@@ -168,6 +168,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="root_seed must be a non-negative integer"):
             ExperimentPlan(cells=(small_cell(),), reps=3, tests=("RLM",), root_seed=root_seed,
                            workers=workers)
+
+    @pytest.mark.parametrize("reps", [0, -1, 2.5, 2.0])
+    def test_bad_reps_is_refused(self, reps):
+        # 2.5 once passed here, and run_experiment raised TypeError
+        with pytest.raises(ValueError, match="^need reps >= 1$"):
+            ExperimentPlan(cells=(small_cell(),), reps=reps, tests=("RLM",))
+        assert ExperimentPlan(cells=(small_cell(),), reps=np.int64(2), tests=("RLM",)).reps == 2
 
     @pytest.mark.parametrize("workers", [0, -5, 1.5])
     def test_bad_worker_count_is_refused(self, workers):

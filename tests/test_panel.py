@@ -71,11 +71,15 @@ class TestValidate:
         assert any("constant response" in v and "unit 2" in v for v in violations)
 
     def test_broken_intercept_column(self, rng):
-        panel = random_panel(rng, n=4, t=15, k=2)
+        # once built, and a fixed-effects fit dropped the column as if it
+        # were the intercept (k_eff 1); only validate_dataset noticed
+        panel = random_panel(rng, n=4, t=12, k=2)
         x = panel.x.copy()
-        x[0, 3, 0] = 0.0
-        violations = validate_dataset(build_panel(panel.y.copy(), x), HET)
-        assert any("intercept" in v for v in violations)
+        x[0, 3, 0] = 2.0
+        with pytest.raises(PanelError, match=r"^intercept column \(x column 0\) is not identically 1$"):
+            build_panel(panel.y.copy(), x)
+        # without an intercept, column 0 is a regressor like any other
+        assert fit(build_panel(panel.y.copy(), x, has_intercept=False), FE).k_eff == 2
 
 
     def test_heterogeneous_without_regressors_flagged(self, rng):
