@@ -51,7 +51,10 @@ P_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Which tests to run and at what significance level."""
+    """Which tests to run and at what significance level. ``tests`` takes
+    ``ALL_TESTS`` names in any order, with repeats, and is stored canonical:
+    each name once, in ``ALL_TESTS`` order. An ``alpha`` outside (0, 1), an
+    unknown name or a bare string raises ``ValueError``."""
 
     __test__ = False  # the Test prefix does not make it a pytest test class
 
@@ -61,9 +64,13 @@ class TestConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        unknown = [t for t in self.tests if t not in ALL_TESTS]
+        if isinstance(self.tests, str):
+            raise ValueError(f"tests must be a sequence of test names, not the string {self.tests!r}")
+        tests = tuple(self.tests)
+        unknown = [t for t in tests if t not in ALL_TESTS]
         if unknown:
             raise ValueError(f"unknown tests: {unknown}")
+        object.__setattr__(self, "tests", tuple(t for t in ALL_TESTS if t in tests))
 
 
 @dataclass(frozen=True)
@@ -379,20 +386,19 @@ def lm_adj_stat(corr: CorrelationMatrix, resid: ResidualMatrix, alpha: float = 0
 
 
 def run_all(resid: ResidualMatrix, cfg: TestConfig) -> list[TestResult]:
-    """Run the requested battery on one residual matrix.
+    """Run the requested battery on one residual matrix, in ``cfg.tests`` order.
 
     The correlation matrix and its trace statistics are computed once and
     shared. Each statistic decides its own entry; a residual matrix that
     has no correlation matrix makes every requested entry ``failed``. The
     batch itself never aborts.
     """
-    requested = [t for t in ALL_TESTS if t in cfg.tests]
     alpha = cfg.alpha
     try:
         corr = correlation_matrix(resid)
         stats = trace_stats(corr, resid.t_eff)
     except CorrelationError as exc:
-        return [_failure(name, alpha, "failed", str(exc)) for name in requested]
+        return [_failure(name, alpha, "failed", str(exc)) for name in cfg.tests]
 
     # the lambdas look each statistic up at call time, so a wrapped module
     # attribute (tracing, tests) is what runs
@@ -406,4 +412,4 @@ def run_all(resid: ResidualMatrix, cfg: TestConfig) -> list[TestResult]:
         "RLM": lambda: rlm_stat(stats, alpha),
         "RLM_PE": lambda: rlm_pe_stat(stats, alpha),
     }
-    return [battery[name]() for name in requested]
+    return [battery[name]() for name in cfg.tests]

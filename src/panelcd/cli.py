@@ -73,16 +73,9 @@ _MODEL_KINDS = {
     "dynamic": ModelKind.DYNAMIC,
 }
 
-_DIST_NAMES = {"normal": ErrorDist.NORMAL, "chisq": ErrorDist.CHISQ5, "student": ErrorDist.STUDENT_T10}
 
-_ALT_NAMES = {
-    "null": Alternative.NULL,
-    "dense": Alternative.DENSE,
-    "sparse": Alternative.SPARSE,
-    "less-sparse": Alternative.LESS_SPARSE,
-}
-
-def _parse_tests(spec: str, parser: argparse.ArgumentParser) -> tuple:
+def _parse_tests(spec: str, parser: argparse.ArgumentParser) -> list:
+    """The test names a ``--tests`` list spells, as written; ``TestConfig`` orders them."""
     names = []
     for raw in spec.split(","):
         key = raw.strip().lower()
@@ -90,12 +83,10 @@ def _parse_tests(spec: str, parser: argparse.ArgumentParser) -> tuple:
             continue
         if key not in _TEST_ALIASES:
             parser.error(f"unknown test {raw!r}; choose from {', '.join(sorted(_TEST_ALIASES))}")
-        name = _TEST_ALIASES[key]
-        if name not in names:
-            names.append(name)
+        names.append(_TEST_ALIASES[key])
     if not names:
         parser.error("empty --tests list")
-    return tuple(t for t in ALL_TESTS if t in names)
+    return names
 
 
 def _add_sim_keys(sub: argparse.ArgumentParser) -> None:
@@ -103,8 +94,10 @@ def _add_sim_keys(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--T", dest="t", type=int, required=True, help="time periods")
     sub.add_argument("--n", type=int, required=True, help="cross-sectional units")
     sub.add_argument("--k", type=int, default=None, help="regressors incl. intercept (dgp 1/3)")
-    sub.add_argument("--errors", default="normal", choices=sorted(_DIST_NAMES))
-    sub.add_argument("--alternative", default="null", choices=sorted(_ALT_NAMES))
+    sub.add_argument("--errors", default="normal", choices=sorted(d.value for d in ErrorDist))
+    # spelled with a hyphen on the command line: "less-sparse"
+    sub.add_argument("--alternative", default="null",
+                     choices=sorted(a.value.replace("_", "-") for a in Alternative))
     sub.add_argument("--h", type=float, default=None, help="dense-alternative strength")
     sub.add_argument("--burn-in", type=int, default=50)
     sub.add_argument("--seed", type=int, default=0)
@@ -148,7 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse and cross-validate flags; exits with code 2 on usage errors."""
+    """Parse flags into the objects they configure: ``dgp_config`` for
+    ``simulate`` and ``dump-dgp``, ``test_config`` for ``test`` and ``plan``
+    for ``simulate``. Each type checks its own rules; a broken one exits
+    with code 2."""
     parser = _build_parser()
     args = parser.parse_args(argv)
 
@@ -160,29 +156,22 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
             )
         if args.alternative != "dense" and args.h is not None:
             parser.error("--h is only meaningful with --alternative dense")
-        try:
+    try:
+        if args.command == "test":
+            args.test_config = TestConfig(alpha=args.alpha, tests=_parse_tests(args.tests, parser))
+        else:
             args.dgp_config = DgpConfig(
-                dgp=args.dgp,
-                t=args.t,
-                n=args.n,
-                k=args.k,
-                error_dist=_DIST_NAMES[args.errors],
-                alternative=_ALT_NAMES[args.alternative],
-                h=args.h if args.h is not None else 3.0,
-                burn_in=args.burn_in,
-                seed=args.seed,
+                dgp=args.dgp, t=args.t, n=args.n, k=args.k, error_dist=args.errors,
+                alternative=args.alternative.replace("-", "_"),
+                h=args.h if args.h is not None else 3.0, burn_in=args.burn_in, seed=args.seed,
             )
-        except ValueError as exc:
-            parser.error(str(exc))
-
-    if hasattr(args, "tests"):
-        args.test_names = _parse_tests(args.tests, parser)
-    if hasattr(args, "alpha") and not 0.0 < args.alpha < 1.0:
-        parser.error("--alpha must lie in (0, 1)")
-    if args.command == "simulate":
-        for flag in ("reps", "workers"):
-            if getattr(args, flag) < 1:
-                parser.error(f"--{flag} must be >= 1")
+        if args.command == "simulate":
+            args.plan = ExperimentPlan(
+                cells=(args.dgp_config,), reps=args.reps, alpha=args.alpha,
+                tests=_parse_tests(args.tests, parser), root_seed=args.seed, workers=args.workers,
+            )
+    except ValueError as exc:
+        parser.error(str(exc))
     return args
 
 
@@ -617,7 +606,7 @@ def _cmd_test(args) -> int:
             f"for {len(hot)} unit(s): {labels}",
             file=sys.stderr,
         )
-    results = run_all(resid, TestConfig(alpha=args.alpha, tests=args.test_names))
+    results = run_all(resid, args.test_config)
     _write(
         emit_report(results, args.format, t_eff=resid.t_eff, n=resid.n, alpha=args.alpha),
         args.output,
@@ -626,17 +615,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    plan = ExperimentPlan(
-        cells=(args.dgp_config,),
-        reps=args.reps,
-        alpha=args.alpha,
-        tests=args.test_names,
-        root_seed=args.seed,
-        workers=args.workers,
-    )
-    report = run_experiment(plan)
+    report = run_experiment(args.plan)
     _write(emit_report(report, args.format), args.output)
-    print(f"panelcd: {args.reps} replications in {report.wall_time:.1f}s", file=sys.stderr)
+    print(f"panelcd: {report.reps} replications in {report.wall_time:.1f}s", file=sys.stderr)
     return 0
 
 

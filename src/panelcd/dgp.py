@@ -75,10 +75,12 @@ class DgpConfig:
 
     ``k`` counts the regressor columns, intercept included. Left out, it
     takes the design's default: 2 for dgps 1 and 3, 3 for dgp 2 and 0 for
-    dgp 4 (the only values dgps 2 and 4 accept). ``t``, ``n``, ``k`` and
+    dgp 4 (the only values dgps 2 and 4 accept). ``error_dist`` and
+    ``alternative`` take an enum member or its value (``"chisq"``,
+    ``"less_sparse"``) and are stored as the member. ``t``, ``n``, ``k`` and
     ``burn_in`` are integers and ``seed`` a non-negative one; under the
     dense alternative ``h`` is positive and its loading bound sqrt(3h/n)
-    finite. A broken rule raises ``ValueError``.
+    finite. A broken rule, an unknown enum value included, raises ``ValueError``.
     """
 
     dgp: int
@@ -96,6 +98,8 @@ class DgpConfig:
             raise ValueError("dgp must be 1, 2, 3 or 4")
         if self.k is None:
             object.__setattr__(self, "k", _DEFAULT_K[self.dgp])
+        object.__setattr__(self, "error_dist", ErrorDist(self.error_dist))
+        object.__setattr__(self, "alternative", Alternative(self.alternative))
         for name in ("t", "n", "k", "burn_in"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -126,8 +130,10 @@ class GeneratedPanel:
     model_spec: ModelKind
 
 
-def gen_errors(dist: ErrorDist, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """An iid (rows, cols) grid with population mean 0 and variance 1."""
+def gen_errors(dist: ErrorDist | str, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """An iid (rows, cols) grid with population mean 0 and variance 1, for
+    an ``ErrorDist`` member or its value."""
+    dist = ErrorDist(dist)
     if dist is ErrorDist.NORMAL:
         return rng.standard_normal((rows, cols))
     if dist is ErrorDist.CHISQ5:
@@ -141,9 +147,11 @@ def gen_errors(dist: ErrorDist, rows: int, cols: int, rng: np.random.Generator) 
 
 
 def gen_loadings(
-    alternative: Alternative, n: int, rng: np.random.Generator, h: float = 3.0
+    alternative: Alternative | str, n: int, rng: np.random.Generator, h: float = 3.0
 ) -> np.ndarray:
-    """Factor loadings for one of the three dependence alternatives."""
+    """Factor loadings for one of the three dependence alternatives, given
+    as an ``Alternative`` member or its value."""
+    alternative = Alternative(alternative)
     if alternative is Alternative.NULL:
         raise ValueError("the null has no loadings")
     lam = np.zeros(n)

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cd_stats import ALL_TESTS, TestConfig, run_all
+from .cd_stats import TestConfig, run_all
 from .dgp import DgpConfig, draw_panel, generate_panel
 from .panel import PanelError, fit
 
@@ -44,7 +44,8 @@ _FAILURE_CAUSES = (PanelError, np.linalg.LinAlgError, FloatingPointError, ValueE
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A grid of simulation cells plus the replication and seeding policy."""
+    """A grid of simulation cells plus the replication and seeding policy;
+    ``alpha`` and ``tests`` follow ``TestConfig``, whose ``tests`` tuple it stores."""
 
     cells: Sequence[DgpConfig]
     reps: int
@@ -62,11 +63,9 @@ class ExperimentPlan:
             raise ValueError("root_seed must be a non-negative integer")
         if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
             raise ValueError("need workers >= 1")
-        tests = tuple(self.tests)
-        # the rules every replication's TestConfig applies, checked before any runs
-        TestConfig(alpha=self.alpha, tests=tests)
         object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "tests", tuple(t for t in ALL_TESTS if t in tests))
+        # the rules every replication's TestConfig applies, checked before any runs
+        object.__setattr__(self, "tests", TestConfig(alpha=self.alpha, tests=self.tests).tests)
 
 
 @dataclass(frozen=True)
@@ -147,16 +146,17 @@ def run_replication(
     ``rng`` is what :func:`~panelcd.dgp.generate_panel` takes: the
     replication's stream, or its design paused by
     :func:`~panelcd.dgp.draw_panel` on that stream. Returns one flag
-    per requested test: True/False for a decision, None when that test was
-    unsupported or failed, or the whole replication failed. Unsupported
-    tests are also listed by name.
+    per requested test, in the order of ``tests``: True/False for a
+    decision, None when that test was unsupported or failed, or the whole
+    replication failed. Unsupported tests are also listed by name. A
+    ``TestConfig`` rule that ``tests`` or ``alpha`` breaks raises first.
     """
-    tests = tuple(tests)
+    battery = TestConfig(alpha=alpha, tests=tests)
     try:
         gen = generate_panel(cfg, rng)
         resid = fit(gen.panel, gen.model_spec)
         del gen  # the panel's grids go before the battery runs
-        results = run_all(resid, TestConfig(alpha=alpha, tests=tests))
+        results = run_all(resid, battery)
     except _FAILURE_CAUSES as exc:
         return _failed(exc, tests)
     by_name = {r.name: r for r in results}

@@ -381,6 +381,18 @@ class TestStatusContract:
         )
 
 
+class TestConfigRules:
+    def test_tests_are_stored_in_canonical_order(self):
+        cfg = Config(tests=["RLM_PE", "LM", "RLM_PE", "CD_P"])
+        assert cfg.tests == ("LM", "CD_P", "RLM_PE")
+        assert cfg == Config(tests=("CD_P", "LM", "RLM_PE"))
+
+    def test_a_bare_test_name_is_refused_by_name(self):
+        # "LM_adj" once read as the names 'L', 'M', '_', 'a', 'd', 'j'
+        with pytest.raises(ValueError, match="not the string 'LM_adj'$"):
+            Config(tests="LM_adj")
+
+
 class TestRunAll:
     def test_requested_subset_dispatch(self, rng):
         resid = fit(random_panel(rng), ModelKind.HETEROGENEOUS)

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -35,8 +36,7 @@ class TestParseArgs:
             ["test", "--data", "p.csv", "--model", "hetero", "--tests", "rlm,rlmpe", "--alpha", "0.05"]
         )
         assert args.command == "test"
-        assert args.test_names == ("RLM", "RLM_PE")
-        assert args.alpha == 0.05
+        assert args.test_config == cd_stats.TestConfig(alpha=0.05, tests=("RLM", "RLM_PE"))
 
     def test_simulate_command(self):
         args = parse_args(
@@ -96,12 +96,44 @@ class TestParseArgs:
 
     @pytest.mark.parametrize("flag", ["--reps", "--workers"])
     def test_simulate_count_below_one_is_a_usage_error(self, capsys, flag):
-        # --reps 0 once exited 1 with the plan's "need reps >= 1"
+        # --reps 0 once exited 1 with the plan's "need reps >= 1"; the plan's
+        # own message now comes at exit 2
         with pytest.raises(SystemExit) as exc:
             main(f"simulate --dgp 1 --T 10 --n 3 {flag} 0".split())
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.endswith(f"panelcd: error: {flag} must be >= 1\n")
+        assert captured.out == "" and captured.err.endswith(f"panelcd: error: need {flag[2:]} >= 1\n")
+
+    @pytest.mark.parametrize("command", ["test --data p.csv", "simulate --dgp 1 --T 10 --n 3"])
+    @pytest.mark.parametrize("alpha", ["0", "1.5", "nan"])
+    def test_alpha_outside_the_unit_interval_is_a_usage_error(self, capsys, command, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(f"{command} --alpha {alpha}".split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("panelcd: error: alpha must lie in (0, 1)\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "dump-dgp"])
+    @pytest.mark.parametrize("flag, choices", [
+        ("--errors", ["chisq", "normal", "student"]),
+        ("--alternative", ["dense", "less-sparse", "null", "sparse"]),
+    ])
+    def test_enum_flags_offer_the_same_choices(self, capsys, command, flag, choices):
+        # the choices once came from name tables in the CLI; they are the enums' values now,
+        # and the library's "less_sparse" is not a command-line spelling
+        for bad in ("bogus", "less_sparse"):
+            with pytest.raises(SystemExit) as exc:
+                main(f"{command} --dgp 1 --T 10 --n 3 {flag} {bad}".split())
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            offered = re.search(r"invalid choice: .*\(choose from (.*)\)$", captured.err.strip())
+            assert [c.strip(" '") for c in offered.group(1).split(",")] == choices
+        for good in choices:
+            h = " --h 3" if good == "dense" else ""
+            cfg = parse_args(f"{command} --dgp 1 --T 10 --n 3 {flag} {good}{h}".split()).dgp_config
+            read = cfg.error_dist if flag == "--errors" else cfg.alternative
+            assert read.value.replace("_", "-") == good
 
     def test_unknown_test_name(self):
         with pytest.raises(SystemExit) as exc:

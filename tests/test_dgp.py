@@ -73,6 +73,14 @@ class TestConfigValidation:
         assert np.isfinite(drawn_loadings(big)).all()
         assert np.isfinite(generate_panel(big).panel.y).all()
 
+    @pytest.mark.parametrize("field, value", [("error_dist", "bogus"), ("alternative", "bogus"),
+                                              ("alternative", "less-sparse"), ("error_dist", 1)])
+    def test_refuses_an_unknown_enum_value(self, field, value):
+        # "bogus" once passed here and drew the Student-t errors or less-sparse loadings;
+        # the hyphen in "less-sparse" is the command line's spelling only
+        with pytest.raises(ValueError, match=repr(value)):
+            DgpConfig(dgp=1, t=30, n=10, **{field: value})
+
     def test_k_defaults_per_dgp(self):
         assert [DgpConfig(dgp=d, t=30, n=10).k for d in (1, 2, 3, 4)] == [2, 3, 2, 0]
         assert DgpConfig(dgp=1, t=30, n=10) == DgpConfig(dgp=1, t=30, n=10, k=2)
@@ -92,6 +100,14 @@ class TestErrors:
         draws = gen_errors(ErrorDist.CHISQ5, 1000, 1000, rng).ravel()
         skew = np.mean((draws - draws.mean()) ** 3) / draws.std() ** 3
         assert skew == pytest.approx(np.sqrt(8.0 / 5.0), abs=0.05)
+
+    def test_value_string_draws_the_members_errors(self):
+        # compared with ``is``, "chisq" and "normal" once drew Student-t errors, as did "bogus"
+        for dist in ErrorDist:
+            by_value = gen_errors(dist.value, 20, 30, np.random.default_rng(4))
+            assert np.array_equal(by_value, gen_errors(dist, 20, 30, np.random.default_rng(4)))
+        with pytest.raises(ValueError, match="'bogus'"):
+            gen_errors("bogus", 20, 30, np.random.default_rng(4))
 
     def test_same_seed_bitwise_identical(self):
         a = gen_errors(ErrorDist.STUDENT_T10, 50, 40, np.random.default_rng(3))
@@ -118,8 +134,17 @@ class TestLoadings:
         assert np.max(np.abs(lam)) <= 0.17320508 + 1e-9
 
     def test_null_has_no_loadings(self):
-        with pytest.raises(ValueError):
-            gen_loadings(Alternative.NULL, 10, np.random.default_rng(0))
+        for null in (Alternative.NULL, "null"):
+            with pytest.raises(ValueError, match="the null has no loadings"):
+                gen_loadings(null, 10, np.random.default_rng(0))
+
+    def test_value_string_draws_the_members_loadings(self):
+        # compared with ``is``, "sparse" and "dense" once drew the less-sparse loadings
+        for alt in (Alternative.DENSE, Alternative.SPARSE, Alternative.LESS_SPARSE):
+            by_value = gen_loadings(alt.value, 100, np.random.default_rng(5))
+            assert np.array_equal(by_value, gen_loadings(alt, 100, np.random.default_rng(5)))
+        with pytest.raises(ValueError, match="'bogus'"):
+            gen_loadings("bogus", 100, np.random.default_rng(5))
 
 
 # SHA-256 of every panel's y and x over all (error distribution,
@@ -148,6 +173,18 @@ class TestGenerators:
         assert digest.hexdigest() == PANEL_SHA256[dgp]
         redrew = any("redrew" in r.getMessage() for r in caplog.records)
         assert redrew == (dgp in (2, 4))
+
+    @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
+    def test_value_strings_generate_the_members_panels(self, dgp):
+        # DgpConfig once kept a value string, and the designs, comparing with
+        # ``is``, drew the Student-t errors and the less-sparse loadings for it
+        for dist, alt in itertools.product(ErrorDist, Alternative):
+            by_member = generate_panel(cfg_for(dgp, n=15, error_dist=dist, alternative=alt, seed=7))
+            cfg = cfg_for(dgp, n=15, error_dist=dist.value, alternative=alt.value, seed=7)
+            assert cfg.error_dist is dist and cfg.alternative is alt
+            by_value = generate_panel(cfg)
+            assert by_value.panel.y.tobytes() == by_member.panel.y.tobytes(), (dist, alt)
+            assert by_value.panel.x.tobytes() == by_member.panel.x.tobytes(), (dist, alt)
 
     @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
     def test_panel_of_draws_made_ahead_is_the_same(self, dgp):

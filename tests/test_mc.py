@@ -185,6 +185,24 @@ class TestRunExperiment:
         plan = ExperimentPlan(cells=(small_cell(),), reps=2, tests=("RLM_PE", "LM", "RLM"))
         assert plan.tests == ("LM", "RLM", "RLM_PE")
 
+    def test_a_bare_test_name_is_refused_by_name(self):
+        # "LM_adj" once read as the names 'L', 'M', '_', 'a', 'd', 'j'
+        message = "^tests must be a sequence of test names, not the string 'LM_adj'$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(cells=(small_cell(),), reps=2, tests="LM_adj")
+        with pytest.raises(ValueError, match=message):
+            run_replication(small_cell(), "LM_adj", 0.05, derive_stream(1, 0, 0))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_value_strings_report_the_enum_values(self, workers):
+        # a cell of value strings once ran every replication and then raised
+        # AttributeError: 'str' object has no attribute 'value'
+        cells = (small_cell(error_dist="chisq", alternative="less_sparse"),
+                 small_cell(error_dist="student", alternative="dense"))
+        report = run_experiment(ExperimentPlan(cells=cells, reps=2, tests=("RLM",), workers=workers))
+        assert [(row.dist, row.alternative) for row in report.rows] == [
+            ("chisq", "less_sparse"), ("student", "dense")]
+
 
 def _spawn_key(rng):
     """The (cell, replication) of a stream made by derive_stream."""

@@ -24,6 +24,8 @@ from panelcd import cli
 from panelcd.cd_stats import ALL_TESTS, TestConfig as Config, run_all
 from panelcd.cli import CsvError, CsvParseError, NonNumericError, dump_panel_csv, load_panel_csv
 from panelcd.correlation import correlation_matrix
+from panelcd.dgp import DgpConfig, generate_panel
+from panelcd.mc import ExperimentPlan, derive_stream, run_replication
 from panelcd.panel import ModelKind, PanelError, fit
 
 from conftest import build_panel
@@ -112,6 +114,33 @@ def test_every_requested_statistic_ends_ok_or_explained(case, tests):
             assert math.isfinite(r.statistic) and math.isfinite(r.p_value), r
         else:
             assert r.status in ("failed", "unsupported") and r.message, r
+
+
+# A replication whose eight decisions are mixed, so that the order of its
+# flags shows: dgp 1 at T = 20, n = 6 under the dense alternative, stream (22, 0, 0).
+ORDER_CELL = DgpConfig(dgp=1, t=20, n=6, alternative="dense")
+ORDER_RESID = fit(generate_panel(ORDER_CELL, derive_stream(22, 0, 0)).panel, ModelKind.HETEROGENEOUS)
+ORDER_DECISIONS = {r.name: r.reject for r in run_all(ORDER_RESID, Config())}
+
+
+@PROPERTY_SETTINGS
+@given(names=st.lists(st.sampled_from(ALL_TESTS), min_size=1, max_size=12), data=st.data())
+def test_every_entry_point_keeps_one_canonical_test_order(names, data):
+    # the order was once derived in the CLI, the plan and run_all each, and
+    # TestConfig kept whatever it was given
+    canonical = Config(tests=names).tests
+    assert canonical == tuple(sorted(set(names), key=ALL_TESTS.index))
+    spelled = ",".join(data.draw(st.sampled_from([t.lower(), t.lower().replace("_", "")]))
+                       for t in names)
+    test_args = cli.parse_args(["test", "--data", "p.csv", "--tests", spelled])
+    sim_args = cli.parse_args(["simulate", "--dgp", "1", "--T", "20", "--n", "6", "--tests", spelled])
+    assert test_args.test_config.tests == sim_args.plan.tests == canonical
+    assert ExperimentPlan(cells=(ORDER_CELL,), reps=1, tests=names).tests == canonical
+    assert tuple(r.name for r in run_all(ORDER_RESID, Config(tests=names))) == canonical
+    # a replication's flags answer the caller's list, repeats and order kept
+    assert set(ORDER_DECISIONS.values()) == {True, False}
+    outcome = run_replication(ORDER_CELL, names, 0.05, derive_stream(22, 0, 0))
+    assert outcome.flags == tuple(ORDER_DECISIONS[t] for t in names)
 
 
 @st.composite
