@@ -54,7 +54,7 @@ class TestConfig:
     """Which tests to run and at what significance level. ``tests`` takes
     ``ALL_TESTS`` names in any order, with repeats, and is stored canonical:
     each name once, in ``ALL_TESTS`` order. An ``alpha`` outside (0, 1), an
-    unknown name or a bare string raises ``ValueError``."""
+    unknown name, an empty list or a bare string raises ``ValueError``."""
 
     __test__ = False  # the Test prefix does not make it a pytest test class
 
@@ -67,6 +67,8 @@ class TestConfig:
         if isinstance(self.tests, str):
             raise ValueError(f"tests must be a sequence of test names, not the string {self.tests!r}")
         tests = tuple(self.tests)
+        if not tests:
+            raise ValueError("tests must name at least one test")
         unknown = [t for t in tests if t not in ALL_TESTS]
         if unknown:
             raise ValueError(f"unknown tests: {unknown}")

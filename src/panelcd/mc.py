@@ -12,17 +12,19 @@ captured and counted, never raised, and the failed replication drops out
 of the rejection-frequency denominator. A test that does not apply to the
 cell's model is counted as unsupported, apart from the failures.
 
-Pool workers run BLAS on one thread. So does the calling process while
-``run_experiment`` runs replications there, for cells of up to
-``ONE_BLAS_THREAD_MAX_OBS`` observations; larger cells keep the caller's
-count, and the caller's count comes back on return.
-
-In the calling process a helper thread draws one replication ahead. While
-this thread builds, fits and tests a replication through
-``run_replication``, the helper runs the next one's design up to its
-pause (:func:`~panelcd.dgp.draw_panel`), and nothing else. The next draw
+One loop runs replications, in the calling process at one worker and in
+each pool worker on its contiguous slice of the tasks. It pins the heap,
+and a helper thread draws one replication ahead: while this thread
+builds, fits and tests a replication through ``run_replication``, the
+helper runs the next one's design up to its pause
+(:func:`~panelcd.dgp.draw_panel`), and nothing else. The next draw
 starts once the current panel is built, so one replication's draws at
 most are held ahead, and none while a panel is built.
+
+Pool workers run BLAS on one thread. So does the calling process while
+the loop runs there, for cells of up to ``ONE_BLAS_THREAD_MAX_OBS``
+observations; larger cells keep the caller's count, and the caller's
+count comes back on return.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ class ExperimentPlan:
         if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
             raise ValueError("need workers >= 1")
         object.__setattr__(self, "cells", tuple(self.cells))
+        for i, cell in enumerate(self.cells):
+            if not isinstance(cell, DgpConfig):
+                raise ValueError(f"cells[{i}] is not a DgpConfig: {cell!r}")
         # the rules every replication's TestConfig applies, checked before any runs
         object.__setattr__(self, "tests", TestConfig(alpha=self.alpha, tests=self.tests).tests)
 
@@ -171,12 +176,6 @@ def _failed(exc: Exception, tests: tuple) -> RepOutcome:
     return RepOutcome(flags=(None,) * len(tests), error=f"{type(exc).__name__}: {exc}")
 
 
-def _run_task(plan: ExperimentPlan, task) -> RepOutcome:
-    cell_index, rep_index = task
-    rng = derive_stream(plan.root_seed, cell_index, rep_index)
-    return run_replication(plan.cells[cell_index], plan.tests, plan.alpha, rng)
-
-
 def _draw_task(plan: ExperimentPlan, task) -> GeneratorType:
     cell_index, rep_index = task
     return draw_panel(plan.cells[cell_index], derive_stream(plan.root_seed, cell_index, rep_index))
@@ -198,12 +197,16 @@ ONE_BLAS_THREAD_MAX_OBS = 1_000_000
 
 
 def _run_here(plan: ExperimentPlan, tasks: list) -> list:
-    """Run ``tasks`` in this process, one draw ahead on a helper thread, with
-    BLAS on one thread for cells up to ``ONE_BLAS_THREAD_MAX_OBS``
-    observations and the caller's count back on return. The outcomes are
-    ``_run_task``'s."""
+    """Run ``tasks``, a list of (cell, replication) index pairs, in this
+    process, one draw ahead on a helper thread. Each outcome is the one
+    ``run_replication`` gives on the task's ``derive_stream``. This is the
+    one loop that runs replications, so it sets up the process it runs in:
+    it pins the heap (``_pin_heap``), and runs BLAS on one thread for cells
+    up to ``ONE_BLAS_THREAD_MAX_OBS`` observations, with the process's count
+    back on return."""
     from concurrent.futures import ThreadPoolExecutor
 
+    _pin_heap()  # before the helper thread can take an arena of its own
     previous = _set_blas_threads(1)
     outcomes = []
     try:
@@ -258,38 +261,23 @@ def _pin_heap() -> None:
         mallopt(-8, 1)  # M_ARENA_MAX
 
 
-def _blas_paths(maps_lines) -> list:
-    """The OpenBLAS libraries named in ``/proc/self/maps`` lines: the whole
-    pathname field, less a `` (deleted)`` suffix, absolute paths only."""
-    fields = (line.rstrip("\n").split(maxsplit=5)[5:] for line in maps_lines)
-    paths = {f[0].removesuffix(" (deleted)") for f in fields if f}
-    return sorted(p for p in paths if p.startswith("/") and "openblas" in p.lower() and ".so" in p)
-
-
 @cache
 def _blas_controls():
-    """(get, set) thread-count functions of the OpenBLAS that numpy mapped
-    into this process (``/proc/self/maps``), or None where none loads or it
-    has no such symbols."""
+    """(get, set) thread-count functions of the OpenBLAS that numpy's linalg
+    extension links, or None where it has no such symbols. A symbol lookup
+    on the extension's handle also searches the libraries it links."""
     import ctypes
 
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = _blas_paths(fh)
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
     return None
 
 
@@ -305,36 +293,34 @@ def _set_blas_threads(count: int):
     return previous
 
 
-def _init_worker() -> None:
-    """Pool initializer: pin the heap, and run this worker's OpenBLAS on one
-    thread. A forked worker keeps the parent's BLAS thread count, so two
-    workers on two cores would run four BLAS threads between them."""
-    _pin_heap()
-    _set_blas_threads(1)
-
-
 def run_experiment(plan: ExperimentPlan) -> RejectionReport:
     """Run the full replication grid and aggregate rejection frequencies.
 
-    Aggregation iterates tasks in (cell, replication) index order, so the
-    report does not depend on the worker count. Each pool worker runs BLAS
-    on one thread, so the workers share the cores instead of
-    oversubscribing them. The calling process, when it runs the
-    replications itself, does the same for cells of up to
+    Every replication runs in ``_run_here``'s loop: here at one worker, or
+    in pool workers that each take contiguous slices of the tasks. The
+    outcomes come back in (cell, replication) index order either way, so
+    the report does not depend on the worker count. Each pool worker runs
+    BLAS on one thread, for every cell size, so the workers share the
+    cores instead of oversubscribing them. The calling process, when it
+    runs the replications itself, does the same for cells of up to
     ``ONE_BLAS_THREAD_MAX_OBS`` observations and keeps its own count for
-    larger ones, and its own setting is restored on return. The calling
-    process and every worker pin glibc's malloc thresholds (``_pin_heap``),
-    and the calling process keeps them after this returns.
+    larger ones, and its own setting is restored on return. Every process
+    that runs replications pins glibc's malloc thresholds (``_pin_heap``),
+    and keeps them after the loop returns.
     """
     start = time.perf_counter()
-    _pin_heap()
     tasks = [(ci, ri) for ci in range(len(plan.cells)) for ri in range(plan.reps)]
     if plan.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, len(tasks) // (plan.workers * 8))
-        with ProcessPoolExecutor(max_workers=plan.workers, initializer=_init_worker) as pool:
-            outcomes = list(pool.map(partial(_run_task, plan), tasks, chunksize=chunk))
+        slices = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
+        # a forked worker keeps the caller's BLAS thread count, so two workers
+        # on two cores would run four BLAS threads between them
+        with ProcessPoolExecutor(
+            max_workers=plan.workers, initializer=_set_blas_threads, initargs=(1,)
+        ) as pool:
+            outcomes = [o for part in pool.map(partial(_run_here, plan), slices) for o in part]
     else:
         outcomes = _run_here(plan, tasks)
 

@@ -20,8 +20,9 @@ pooled and demeaned, or lag-augmented). Each stack is factored once, for
 all its designs together, by two-pass modified Gram-Schmidt on its
 equilibrated columns followed by one batched SVD of the small triangular
 factors; that gives the rank test, the residuals, the coefficients and
-the orthonormal bases. The bases are retained on request because the
-moment-adjusted LM test needs them.
+the orthonormal bases. The basis stays on the panel's kept factorization
+either way; ``fit``'s ``keep_bases`` decides only whether the
+:class:`ResidualMatrix` exposes it, for the moment-adjusted LM test.
 
 :func:`validate_dataset` and :func:`fit` read one set of estimator rules
 (the size rule, the regressor rule and the rank test): validation reports
@@ -374,8 +375,10 @@ def fit(data: PanelDataset, kind: ModelKind, keep_bases: bool = True) -> Residua
 
     ``kind`` may be a :class:`ModelKind` or its value ("dynamic"); any other
     value raises ``ValueError``. ``k_eff`` counts the columns of the fitted
-    design. ``keep_bases`` retains the per-unit orthonormal design bases,
-    which the moment-adjusted LM test needs; the pooled within fit has none.
+    design. ``keep_bases`` decides whether the result exposes the per-unit
+    orthonormal design bases, which the moment-adjusted LM test needs; they
+    stay on the panel's kept factorization either way, so False saves no
+    memory. The pooled within fit has none.
 
     Raises :class:`PanelError` when the panel breaks the size rule
     (T >= k+2, or k+3 for a dynamic fit) or a heterogeneous panel has no

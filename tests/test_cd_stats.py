@@ -392,6 +392,12 @@ class TestConfigRules:
         with pytest.raises(ValueError, match="not the string 'LM_adj'$"):
             Config(tests="LM_adj")
 
+    @pytest.mark.parametrize("tests", [(), []])
+    def test_an_empty_list_is_refused(self, tests):
+        # it once passed, and a plan on it ran every replication to report no rows
+        with pytest.raises(ValueError, match="^tests must name at least one test$"):
+            Config(tests=tests)
+
 
 class TestRunAll:
     def test_requested_subset_dispatch(self, rng):

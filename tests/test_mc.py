@@ -1,6 +1,7 @@
 import concurrent.futures
 import ctypes
 import inspect
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -75,10 +76,13 @@ class TestRunReplication:
 
 
 def _blas_threads(_=None):
-    """This process's OpenBLAS thread count, or None without an OpenBLAS."""
+    """This process's OpenBLAS thread count, or None without an OpenBLAS.
+    It reads the libraries mapped into the process, not the one the package
+    looks up, so it checks that lookup rather than repeating it."""
     with open("/proc/self/maps") as fh:
-        paths = mc._blas_paths(fh)
-    for path in paths:
+        fields = (line.rstrip("\n").split(maxsplit=5)[5:] for line in fh)
+        paths = {f[0] for f in fields if f and f[0].startswith("/") and "openblas" in f[0].lower()}
+    for path in sorted(paths):
         lib = ctypes.CDLL(path)
         for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                        "openblas_get_num_threads"):
@@ -87,6 +91,25 @@ def _blas_threads(_=None):
                 fn.argtypes, fn.restype = [], ctypes.c_int
                 return fn()
     return None
+
+
+def _record_pools(monkeypatch):
+    """Record the keyword arguments of each process pool that run_experiment
+    opens, and the task slices it maps, under "slices"."""
+    pools = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(dict(kwargs, slices=[]))
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, slices, **kwargs):
+            slices = list(slices)
+            pools[-1]["slices"].extend(slices)
+            return super().map(fn, slices, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return pools
 
 
 class TestRunExperiment:
@@ -102,24 +125,55 @@ class TestRunExperiment:
         parallel = run_experiment(ExperimentPlan(workers=2, **kwargs))
         assert serial.rows == parallel.rows
 
-    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
-        before = _blas_threads()
-        if before is None:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched battery")
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch, tmp_path):
+        original = _blas_threads()
+        if original is None:
             pytest.skip("numpy is not linked against OpenBLAS")
-        initializers = []
+        log = tmp_path / "threads"
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                initializers.append(kwargs.get("initializer"))
-                super().__init__(*args, **kwargs)
+        def run_all(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {_blas_threads()}\n")
+            return real_run_all(*args)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        plan = ExperimentPlan(cells=(small_cell(),), reps=4, tests=("RLM",), workers=2)
-        run_experiment(plan)
-        assert initializers == [mc._init_worker]
-        assert _blas_threads() == before
-        with Recording(max_workers=2, initializer=mc._init_worker) as pool:
-            assert list(pool.map(_blas_threads, range(4))) == [1] * 4
+        real_run_all = mc.run_all
+        monkeypatch.setattr(mc, "run_all", run_all)
+        # every cell is over the limit, so a worker keeps the count it starts with
+        monkeypatch.setattr(mc, "ONE_BLAS_THREAD_MAX_OBS", 0)
+        plan = ExperimentPlan(cells=(small_cell(), small_cell(t=30, n=8)), reps=4,
+                              tests=("RLM",), workers=2)
+        mc._set_blas_threads(2)
+        try:
+            run_experiment(plan)
+            assert _blas_threads() == 2
+        finally:
+            mc._set_blas_threads(original)
+        seen = [line.split() for line in log.read_text().splitlines()]
+        assert len(seen) == 8
+        assert all(pid != str(os.getpid()) and threads == "1" for pid, threads in seen)
+
+    def test_pool_slices_give_the_rows_of_one_worker(self, monkeypatch):
+        # 3 cells of 17 replications: the pool's slices, 3 tasks long at 2
+        # workers and 2 at 3, do not divide a cell, so some slice spans two
+        cells = (small_cell(), small_cell(dgp=3), small_cell(dgp=2, t=25, n=8, k=3))
+        kwargs = dict(cells=cells, reps=17, tests=("RLM", "CD_P", "LM_adj"), root_seed=41)
+        pools = _record_pools(monkeypatch)
+        before = threading.active_count()
+        rows = {}
+        for workers in (1, 2, 3):
+            rows[workers] = run_experiment(ExperimentPlan(workers=workers, **kwargs)).rows
+            assert threading.active_count() == before
+        assert rows[2] == rows[1] and rows[3] == rows[1]
+        tasks = [(ci, ri) for ci in range(3) for ri in range(17)]
+        assert len(pools) == 2
+        for pool in pools:
+            assert [task for piece in pool["slices"] for task in piece] == tasks
+            assert any(len({ci for ci, _ in piece}) == 2 for piece in pool["slices"])
+        # LM_adj does not apply to dgp 3's within residuals
+        assert [row.unsupported_reps for row in rows[1] if row.test == "LM_adj"] == [0, 17, 0]
+        assert all(row.failed_reps == 0 for row in rows[1])
 
     def test_report_row_arithmetic(self):
         plan = ExperimentPlan(cells=(small_cell(),), reps=40, tests=("RLM",), root_seed=9)
@@ -154,6 +208,21 @@ class TestRunExperiment:
             ExperimentPlan(cells=(small_cell(),), reps=0)
         with pytest.raises(ValueError):
             ExperimentPlan(cells=(small_cell(),), reps=5, tests=("BOGUS",))
+
+    def test_an_empty_test_list_is_refused(self):
+        # such a plan once ran every replication and reported no rows
+        message = "^tests must name at least one test$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(cells=(small_cell(),), reps=2, tests=())
+        with pytest.raises(ValueError, match=message):
+            run_replication(small_cell(), (), 0.05, derive_stream(1, 0, 0))
+
+    @pytest.mark.parametrize("cell", [{"dgp": 1, "t": 20, "n": 5}, None, "dgp=1"])
+    def test_a_cell_that_is_not_a_dgp_config_is_refused_by_index(self, cell):
+        # a dict cell once passed, and run_experiment raised
+        # AttributeError: 'dict' object has no attribute 'n'
+        with pytest.raises(ValueError, match=r"^cells\[1\] is not a DgpConfig: "):
+            ExperimentPlan(cells=(small_cell(), cell), reps=2, tests=("RLM",))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
     def test_alpha_outside_unit_interval_is_refused(self, alpha):
@@ -244,7 +313,11 @@ class TestInProcessLoop:
     def test_outcomes_equal_run_replication_task_by_task(self, monkeypatch):
         new_run = self._faulty(monkeypatch, draw_fault=ValueError("draw refused"),
                                fit_fault=PanelError("fit refused"))
-        expected = [mc._run_task(self.PLAN, task) for task in self.TASKS]
+        expected = [
+            run_replication(self.PLAN.cells[ci], self.PLAN.tests, self.PLAN.alpha,
+                            derive_stream(self.PLAN.root_seed, ci, ri))
+            for ci, ri in self.TASKS
+        ]
         new_run()
         before = threading.active_count()
         assert mc._run_here(self.PLAN, self.TASKS) == expected
@@ -356,10 +429,9 @@ class TestInProcessLoop:
             mc._set_blas_threads(original)
 
     def test_pool_workers_set_blas_through_the_same_helper(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(mc, "_set_blas_threads", calls.append)
-        mc._init_worker()
-        assert calls == [1]
+        pools = _record_pools(monkeypatch)
+        run_experiment(ExperimentPlan(cells=(small_cell(),), reps=4, tests=("RLM",), workers=2))
+        assert [(p["initializer"], p["initargs"]) for p in pools] == [(mc._set_blas_threads, (1,))]
 
     def test_look_ahead_holds_one_replication_of_draws(self):
         # the benchmark's mc-sparse-large cell
@@ -391,27 +463,15 @@ def _glibc():
 
 
 class TestWorkerSetup:
-    def test_maps_lines_give_whole_absolute_library_paths(self):
-        lines = [
-            "7f00-7f10 r-xp 00000000 08:01 11 /usr/lib/libopenblas.so.0\n",
-            "7f10-7f20 r-xp 00000000 08:01 12 /opt/my libs/libscipy_openblas64_-ff.so\n",
-            "7f20-7f30 r-xp 00000000 08:01 13 /site/libscipy_openblas-1a2b.so (deleted)\n",
-            "7f30-7f40 rw-p 00000000 00:00 0 [openblas.so heap]\n",
-            "7f40-7f50 rw-p 00000000 00:00 0\n",
-            "7f50-7f60 r-xp 00000000 08:01 14 /usr/lib/libm.so.6\n",
-        ]
-        assert mc._blas_paths(lines) == [
-            "/opt/my libs/libscipy_openblas64_-ff.so",
-            "/site/libscipy_openblas-1a2b.so",
-            "/usr/lib/libopenblas.so.0",
-        ]
+    def test_a_linalg_library_without_openblas_symbols_gives_none(self, monkeypatch):
+        import _ctypes
+        from numpy.linalg import _umath_linalg
 
-    def test_worker_init_skips_a_library_that_does_not_load(self, monkeypatch):
-        monkeypatch.setattr(mc, "_blas_paths", lambda lines: ["/nonexistent/libopenblas.so"])
+        # a library that loads but links no OpenBLAS
+        monkeypatch.setattr(_umath_linalg, "__file__", _ctypes.__file__)
         mc._blas_controls.cache_clear()
         try:
-            mc._init_worker()  # raises nothing, so a pool would not break
-            assert mc._set_blas_threads(1) is None
+            assert mc._set_blas_threads(1) is None  # raises nothing, so a pool would not break
         finally:
             mc._blas_controls.cache_clear()
 
