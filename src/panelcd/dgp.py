@@ -31,8 +31,10 @@ Each design is one generator function. It takes every random number from
 to the noise, and pauses at a bare ``yield`` holding finished
 disturbances. Resumed, it takes no random numbers: it runs the recursions
 and returns the panel (a return, not a second ``yield``, so the finished
-design holds no draws). :func:`draw_panel` runs a design up to its pause,
-and :func:`generate_panel` resumes it.
+design holds no draws), freeing each draw grid as soon as it has used
+it; dgps 1 and 3 add the response onto the disturbances in place.
+:func:`draw_panel` runs a design up to its pause, and
+:func:`generate_panel` resumes it.
 """
 
 from __future__ import annotations
@@ -230,8 +232,9 @@ def _dgp1(cfg: DgpConfig, rng: np.random.Generator):
     v = _disturbances(cfg, n, cfg.t, rng, lam)
     yield
     xreg = _ar1(innov)[:, :, cfg.burn_in + 1 :]
-    y = alpha[:, None] + np.einsum("nl,nlt->nt", beta, xreg) + v
-    panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)])
+    del innov
+    v += alpha[:, None] + np.einsum("nl,nlt->nt", beta, xreg)  # now y
+    panel = _assemble(v, [xreg[:, j, :] for j in range(k - 1)])
     return GeneratedPanel(panel, ModelKind.HETEROGENEOUS)
 
 
@@ -273,6 +276,7 @@ def _dgp2(cfg: DgpConfig, rng: np.random.Generator):
     yield
     x1 = _ar1(u[:, 0, :])
     x2, y = _dgp2_recursion(alpha, beta1, beta2, x1, u[:, 1, :], v)
+    del u, v
     panel = _assemble(y[:, p:], [x1[:, p:], x2[:, p:]])
     return GeneratedPanel(panel, ModelKind.HETEROGENEOUS)
 
@@ -287,9 +291,10 @@ def _dgp3(cfg: DgpConfig, rng: np.random.Generator):
     v = _disturbances(cfg, n, cfg.t, rng, lam)
     yield
     xreg = _ar1(innov)[:, :, cfg.burn_in + 1 :]
+    del innov
     slopes = np.arange(2, k + 1, dtype=np.float64)
-    y = 1.0 + np.einsum("l,nlt->nt", slopes, xreg) + mu[:, None] + v
-    panel = _assemble(y, [xreg[:, j, :] for j in range(k - 1)])
+    v += 1.0 + np.einsum("l,nlt->nt", slopes, xreg) + mu[:, None]  # now y
+    panel = _assemble(v, [xreg[:, j, :] for j in range(k - 1)])
     return GeneratedPanel(panel, ModelKind.FIXED_EFFECTS)
 
 
@@ -338,6 +343,7 @@ def _dgp4(cfg: DgpConfig, rng: np.random.Generator):
     yield
     xi = v[:, p - 1] + eta  # disturbance at time 0 enters the fixed effect
     y = _dgp4_recursion(xi, beta, v)
+    del v
     panel = _assemble(y[:, p:], [])
     return GeneratedPanel(panel, ModelKind.DYNAMIC)
 

@@ -6,20 +6,24 @@ replication's data never depends on scheduling: the report is a pure
 function of the plan (minus the worker count), bit for bit, whether it
 runs on one process or many.
 
-A replication is generate -> fit -> test -> record decisions. Failures
-inside a replication (for instance a rank-deficient simulated design) are
-captured and counted, never raised, and the failed replication drops out
-of the rejection-frequency denominator. A test that does not apply to the
-cell's model is counted as unsupported, apart from the failures.
+A replication is generate -> fit -> test -> record decisions. A failure
+its data gives (a ``PanelError``, such as a rank-deficient simulated
+design, or a ``LinAlgError``) is captured and counted, and the failed
+replication drops out of the rejection-frequency denominator; any other
+exception is a fault of the program and propagates. A test that does not
+apply to the cell's model is counted as unsupported, apart from the
+failures.
 
 One loop runs replications, in the calling process at one worker and in
 each pool worker on its contiguous slice of the tasks. It pins the heap,
 and a helper thread draws one replication ahead: while this thread
 builds, fits and tests a replication through ``run_replication``, the
 helper runs the next one's design up to its pause
-(:func:`~panelcd.dgp.draw_panel`), and nothing else. The next draw
-starts once the current panel is built, so one replication's draws at
-most are held ahead, and none while a panel is built.
+(:func:`~panelcd.dgp.draw_panel`), and nothing else. The loop takes a
+replication's draws and queues the next one's in the same step, so the
+helper draws back to back and holds one replication's draws ahead at
+most. A panel's build frees its own draws as it uses them, which keeps
+that bound while the next draw runs alongside.
 
 Pool workers run BLAS on one thread. So does the calling process while
 the loop runs there, for cells of up to ``ONE_BLAS_THREAD_MAX_OBS``
@@ -41,7 +45,7 @@ from .cd_stats import TestConfig, run_all
 from .dgp import DgpConfig, draw_panel, generate_panel
 from .panel import PanelError, fit
 
-_FAILURE_CAUSES = (PanelError, np.linalg.LinAlgError, FloatingPointError, ValueError)
+_FAILURE_CAUSES = (PanelError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -181,13 +185,6 @@ def _draw_task(plan: ExperimentPlan, task) -> GeneratorType:
     return draw_panel(plan.cells[cell_index], derive_stream(plan.root_seed, cell_index, rep_index))
 
 
-def _built_then(draws: GeneratorType, start_next):
-    """The paused design ``draws``, calling ``start_next`` once it has built its panel."""
-    gen = yield from draws
-    start_next()
-    return gen
-
-
 # In the calling process, cells of at most this many observations (n * T)
 # run BLAS on one thread, and larger ones keep the caller's count. On two
 # cores, with all eight tests: n = 2000, T = 500 ran as fast either way
@@ -198,12 +195,14 @@ ONE_BLAS_THREAD_MAX_OBS = 1_000_000
 
 def _run_here(plan: ExperimentPlan, tasks: list) -> list:
     """Run ``tasks``, a list of (cell, replication) index pairs, in this
-    process, one draw ahead on a helper thread. Each outcome is the one
-    ``run_replication`` gives on the task's ``derive_stream``. This is the
-    one loop that runs replications, so it sets up the process it runs in:
-    it pins the heap (``_pin_heap``), and runs BLAS on one thread for cells
-    up to ``ONE_BLAS_THREAD_MAX_OBS`` observations, with the process's count
-    back on return."""
+    process. A helper thread draws the tasks in order, back to back: task
+    i + 1's draw is queued as task i's draws are taken, so it runs while task
+    i is built, fitted and tested, and task i + 2's is queued only once task
+    i is done. Each outcome is the one ``run_replication`` gives on the
+    task's ``derive_stream``. This is the one loop that runs replications,
+    so it sets up the process it runs in: it pins the heap (``_pin_heap``),
+    and runs BLAS on one thread for cells up to ``ONE_BLAS_THREAD_MAX_OBS``
+    observations, with the process's count back on return."""
     from concurrent.futures import ThreadPoolExecutor
 
     _pin_heap()  # before the helper thread can take an arena of its own
@@ -211,28 +210,20 @@ def _run_here(plan: ExperimentPlan, tasks: list) -> list:
     outcomes = []
     try:
         with ThreadPoolExecutor(max_workers=1) as helper:
-            following = iter(tasks[1:])
             ahead = helper.submit(_draw_task, plan, tasks[0])
-
-            def draw_next():  # start the following task's draw, once
-                nonlocal ahead
-                task = next(following, None) if ahead is None else None
-                if task is not None:
-                    ahead = helper.submit(_draw_task, plan, task)
-
-            for ci, ri in tasks:
+            for i, (ci, ri) in enumerate(tasks, 1):
                 cell = plan.cells[ci]
                 if ri == 0 and previous is not None:
                     _set_blas_threads(1 if cell.n * cell.t <= ONE_BLAS_THREAD_MAX_OBS else previous)
-                drawn, ahead = ahead, None
+                drawn = ahead
+                if i < len(tasks):  # the next task's draw, queued behind this one's
+                    ahead = helper.submit(_draw_task, plan, tasks[i])
                 try:
                     draws = drawn.result()
                 except _FAILURE_CAUSES as exc:
                     outcomes.append(_failed(exc, plan.tests))
                 else:
-                    draws = _built_then(draws, draw_next)
                     outcomes.append(run_replication(cell, plan.tests, plan.alpha, draws))
-                draw_next()  # where no panel was built
     finally:
         if previous is not None:
             _set_blas_threads(previous)

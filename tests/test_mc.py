@@ -1,5 +1,6 @@
 import concurrent.futures
 import ctypes
+import hashlib
 import inspect
 import multiprocessing
 import os
@@ -13,11 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import panelcd.cd_stats as cd_stats
 import panelcd.dgp as dgp
 import panelcd.mc as mc
+from panelcd.cd_stats import ALL_TESTS
 from panelcd.dgp import Alternative, DgpConfig, ErrorDist
 from panelcd.panel import PanelError
 from panelcd.mc import ExperimentPlan, derive_stream, run_experiment, run_replication
+
+
+# SHA-256 over repr(rows) of TestRunExperiment's six-cell plan
+SIX_CELL_ROWS_SHA256 = "e206343fec8f4ee1fc2a5b0e00b58f67ea33c43deffa9391cc8d109418f35839"
 
 
 def small_cell(**kw):
@@ -272,6 +279,39 @@ class TestRunExperiment:
         assert [(row.dist, row.alternative) for row in report.rows] == [
             ("chisq", "less_sparse"), ("student", "dense")]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_program_fault_in_a_statistic_propagates(self, monkeypatch, workers):
+        # a ValueError was once counted as a failed replication, with no reason shown
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the workers must inherit the patched statistic")
+
+        def broken(*args):
+            raise ValueError("statistic broke")
+
+        monkeypatch.setattr(cd_stats, "rlm_stat", broken)
+        plan = ExperimentPlan(cells=(small_cell(),), reps=4, tests=("RLM",), workers=workers)
+        with pytest.raises(ValueError, match="^statistic broke$"):
+            run_experiment(plan)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_six_cell_plan_reports_its_pinned_rows(self, workers):
+        # the rows of every design, alternative and error law, LM_adj included
+        cells = (
+            DgpConfig(dgp=1, t=30, n=20),
+            DgpConfig(dgp=2, t=60, n=50, alternative=Alternative.DENSE),
+            DgpConfig(dgp=2, t=150, n=40, error_dist=ErrorDist.STUDENT_T10),
+            DgpConfig(dgp=3, t=100, n=30, k=3, error_dist=ErrorDist.CHISQ5,
+                      alternative=Alternative.SPARSE),
+            DgpConfig(dgp=4, t=50, n=60, error_dist=ErrorDist.STUDENT_T10,
+                      alternative=Alternative.LESS_SPARSE),
+            DgpConfig(dgp=1, t=200, n=400, error_dist=ErrorDist.CHISQ5,
+                      alternative=Alternative.SPARSE),
+        )
+        plan = ExperimentPlan(cells=cells, reps=12, tests=ALL_TESTS, root_seed=7, workers=workers)
+        rows = run_experiment(plan).rows
+        assert sum(row.failed_reps for row in rows) == 0
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == SIX_CELL_ROWS_SHA256
+
 
 def _spawn_key(rng):
     """The (cell, replication) of a stream made by derive_stream."""
@@ -311,7 +351,7 @@ class TestInProcessLoop:
         return fits.clear
 
     def test_outcomes_equal_run_replication_task_by_task(self, monkeypatch):
-        new_run = self._faulty(monkeypatch, draw_fault=ValueError("draw refused"),
+        new_run = self._faulty(monkeypatch, draw_fault=PanelError("draw refused"),
                                fit_fault=PanelError("fit refused"))
         expected = [
             run_replication(self.PLAN.cells[ci], self.PLAN.tests, self.PLAN.alpha,
@@ -324,7 +364,7 @@ class TestInProcessLoop:
         assert threading.active_count() == before
         errors = {task: o.error for task, o in zip(self.TASKS, expected) if o.failed}
         # the fifth fit is replication (1, 1)'s
-        assert errors == {(1, 1): "PanelError: fit refused", (1, 2): "ValueError: draw refused"}
+        assert errors == {(1, 1): "PanelError: fit refused", (1, 2): "PanelError: draw refused"}
         # LM_adj does not apply to dgp 3's within residuals
         assert [task for task, o in zip(self.TASKS, expected) if o.unsupported] == [
             (2, 0), (2, 1), (2, 2)]
@@ -345,7 +385,9 @@ class TestInProcessLoop:
 
         def replication(*args):
             events.append(("replication", None, threading.current_thread()))
-            return real_replication(*args)
+            outcome = real_replication(*args)
+            events.append(("returned", None, threading.current_thread()))
+            return outcome
 
         def recorded(design):
             def wrapper(cfg, rng):
@@ -375,12 +417,12 @@ class TestInProcessLoop:
         mc._run_here(self.PLAN, self.TASKS)
         draws = [e for e in events if e[0] == "draw"]
         assert [key for _, key, _ in draws] == self.TASKS
-        assert all(t is not threading.main_thread() for *_, t in draws)
+        assert len({t for *_, t in draws}) == 1 and draws[0][2] is not threading.main_thread()
         assert all(t is threading.main_thread() for kind, _, t in events if kind != "draw")
-        # the draw of task i + 1 starts only once task i's panel is built
-        kinds = [kind for kind, *_ in events]
-        assert kinds == ["draw"] + ["replication", "generate", "built", "draw"] * (
-            len(self.TASKS) - 1) + ["replication", "generate", "built"]
+        # the draw of task i + 2 starts only once task i's replication has returned
+        at = lambda kind: [i for i, e in enumerate(events) if e[0] == kind]  # noqa: E731
+        assert len(at("returned")) == len(self.TASKS)
+        assert all(start > done for start, done in zip(at("draw")[2:], at("returned")))
 
     @pytest.mark.parametrize("where", ["draw", "fit"])
     def test_unexpected_error_propagates_from_its_replication(self, monkeypatch, where):
@@ -433,9 +475,10 @@ class TestInProcessLoop:
         run_experiment(ExperimentPlan(cells=(small_cell(),), reps=4, tests=("RLM",), workers=2))
         assert [(p["initializer"], p["initargs"]) for p in pools] == [(mc._set_blas_threads, (1,))]
 
-    def test_look_ahead_holds_one_replication_of_draws(self):
-        # the benchmark's mc-sparse-large cell
-        cell = DgpConfig(dgp=1, t=200, n=400, k=2, error_dist=ErrorDist.CHISQ5,
+    @pytest.mark.parametrize("design", [1, 2, 3, 4])
+    def test_look_ahead_holds_one_replication_of_draws(self, design):
+        # at dgp 1 the benchmark's mc-sparse-large cell
+        cell = DgpConfig(dgp=design, t=200, n=400, error_dist=ErrorDist.CHISQ5,
                          alternative=Alternative.SPARSE)
         plan = ExperimentPlan(cells=(cell,), reps=10, tests=("RLM", "RLM_PE"), root_seed=3)
         run_experiment(plan)  # first-call allocations stay out of both peaks
@@ -495,6 +538,7 @@ class TestWorkerSetup:
         # thresholds it takes 518 to about 1,485 minor faults per replication
         probe = """
 import resource
+from panelcd.cd_stats import ALL_TESTS
 from panelcd.dgp import Alternative, DgpConfig, ErrorDist
 from panelcd.mc import ExperimentPlan, run_experiment
 cell = DgpConfig(dgp=1, t=200, n=400, k=2, error_dist=ErrorDist.CHISQ5,
